@@ -197,13 +197,23 @@ func (c *Chain) apply(tx *Transaction, block *Block) *Receipt {
 
 // index records which accounts a transaction touched.
 func (c *Chain) index(tx *Transaction, r *Receipt) {
-	seen := make(map[ethtypes.Address]bool)
+	for _, a := range TouchedAccounts(tx, r) {
+		c.txIndex[a] = append(c.txIndex[a], r.TxHash)
+	}
+}
+
+// TouchedAccounts lists the accounts in whose history a transaction
+// appears: sender, recipient, created contract, and every transfer and
+// approval party, in that order, without zero or repeated addresses.
+func TouchedAccounts(tx *Transaction, r *Receipt) []ethtypes.Address {
+	seen := make(map[ethtypes.Address]bool, 8)
+	var out []ethtypes.Address
 	add := func(a ethtypes.Address) {
 		if a.IsZero() || seen[a] {
 			return
 		}
 		seen[a] = true
-		c.txIndex[a] = append(c.txIndex[a], r.TxHash)
+		out = append(out, a)
 	}
 	add(tx.From)
 	if tx.To != nil {
@@ -218,6 +228,7 @@ func (c *Chain) index(tx *Transaction, r *Receipt) {
 		add(a.Owner)
 		add(a.Spender)
 	}
+	return out
 }
 
 // executor runs one transaction. cur always points at the innermost
@@ -371,7 +382,9 @@ func (c *Chain) Simulate(tx *Transaction) *Receipt {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	receipt := &Receipt{
-		TxHash:      tx.Hash(),
+		// RecomputeHash, not Hash: callers may simulate one transaction
+		// from several goroutines, and Hash memoizes into the struct.
+		TxHash:      tx.RecomputeHash(),
 		BlockNumber: uint64(len(c.blocks)), // the pending block
 		Timestamp:   c.blocks[len(c.blocks)-1].Timestamp,
 	}

@@ -22,9 +22,6 @@ import (
 type Incremental struct {
 	// Labels gates the shared-counterparty edge kind, as in Clusterer.
 	Labels *labels.Directory
-	// DisableSharedAccountEdges / DisableDirectEdges mirror Clusterer.
-	DisableSharedAccountEdges bool
-	DisableDirectEdges        bool
 
 	uf      *unionFind
 	tainted map[ethtypes.Address]bool
@@ -34,6 +31,9 @@ type Incremental struct {
 
 	reg    *obs.Registry
 	merges *obs.CounterVec
+	// sharedMerges is the most shared-counterparty unions any rollup
+	// has applied; only growth past it is counted as new merges.
+	sharedMerges uint64
 }
 
 // NewIncremental returns an empty incremental clusterer reporting
@@ -77,18 +77,16 @@ func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 	}
 	from, to := tx.From, *tx.To
 	// Direct transfer between two member operators.
-	if !inc.DisableDirectEdges {
-		if inc.Contains(from) && inc.Contains(to) {
-			if inc.uf.union(from, to) {
-				inc.merges.With("direct").Inc()
-			}
-			return
+	if inc.Contains(from) && inc.Contains(to) {
+		if inc.uf.union(from, to) {
+			inc.merges.With("direct").Inc()
 		}
+		return
 	}
 	// Shared Etherscan-labeled phishing counterparty. Whether the
 	// counterparty is a dataset contract is a property of the final
 	// dataset, so that exclusion is applied at rollup, not here.
-	if inc.DisableSharedAccountEdges || inc.Labels == nil {
+	if inc.Labels == nil {
 		return
 	}
 	counterparty, ok := counterpartyOf(op, from, to)
@@ -111,10 +109,13 @@ func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 // unions are applied (skipping counterparties that ended up in the
 // dataset's contract set, exactly as the batch walk does), degraded
 // accounts are merged into the taint set, and the shared materialize
-// step produces the families. The receiver is not mutated, so rollups
-// can run per update batch.
+// step produces the families. The clustering state is not mutated, so
+// rollups can run per update batch; each rollup re-applies the same
+// deferred unions, so the merge counter only takes those past the
+// previous rollup's count.
 func (inc *Incremental) Families(ds *core.Dataset, degraded map[ethtypes.Address]bool) []*Family {
 	uf := inc.uf.clone()
+	var shared uint64
 	cps := make([]ethtypes.Address, 0, len(inc.counterparties))
 	for cp := range inc.counterparties {
 		cps = append(cps, cp)
@@ -131,9 +132,13 @@ func (inc *Incremental) Families(ds *core.Dataset, degraded map[ethtypes.Address
 		sortAddrs(members)
 		for _, op := range members[1:] {
 			if uf.union(members[0], op) {
-				inc.merges.With("shared_counterparty").Inc()
+				shared++
 			}
 		}
+	}
+	if shared > inc.sharedMerges {
+		inc.merges.With("shared_counterparty").Add(shared - inc.sharedMerges)
+		inc.sharedMerges = shared
 	}
 	tainted := make(map[ethtypes.Address]bool, len(inc.tainted)+len(degraded))
 	for a := range inc.tainted {

@@ -8,6 +8,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ethtypes"
+	"repro/internal/obs"
+	"repro/internal/worldgen"
 )
 
 // feedIncremental replays every dataset operator's history through an
@@ -106,4 +108,62 @@ func summarize(fams []*cluster.Family) []string {
 		out = append(out, f.Name)
 	}
 	return out
+}
+
+// TestIncrementalFamiliesCountsMergesOnce: every rollup re-applies the
+// deferred shared-counterparty unions on a clone, but a union is
+// counted in daas_cluster_union_merges_total only the first time.
+func TestIncrementalFamiliesCountsMergesOnce(t *testing.T) {
+	// More operators than families forces both §7.1 edge kinds to merge.
+	cfg := worldgen.TestConfig(77)
+	for i := range cfg.Families {
+		cfg.Families[i].Operators = 400
+	}
+	w, err := worldgen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := core.LocalSource{Chain: w.Chain}
+	ds, err := (&core.Pipeline{Source: src, Labels: w.Labels}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchReg := obs.NewRegistry()
+	if _, err := (&cluster.Clusterer{Source: src, Labels: w.Labels, Metrics: batchReg}).Cluster(ds); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	inc := cluster.NewIncremental(w.Labels, reg)
+	for _, rec := range ds.SortedOperators() {
+		inc.AddOperator(rec.Address)
+	}
+	for _, rec := range ds.SortedOperators() {
+		hashes, err := src.TransactionsOf(rec.Address)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hashes {
+			tx, err := src.Transaction(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc.ObserveTx(rec.Address, tx)
+		}
+	}
+	shared := func(r *obs.Registry) uint64 {
+		return r.CounterVec("daas_cluster_union_merges_total", "", "edge").With("shared_counterparty").Value()
+	}
+	want := shared(batchReg)
+	if want == 0 {
+		t.Fatal("world has no shared-counterparty merge; the check would be vacuous")
+	}
+	inc.Families(ds, nil)
+	if got := shared(reg); got != want {
+		t.Fatalf("first rollup counted %d shared-counterparty merges, batch clusterer %d", got, want)
+	}
+	inc.Families(ds, nil)
+	if got := shared(reg); got != want {
+		t.Fatalf("second rollup moved the shared-counterparty merge counter to %d, want %d", got, want)
+	}
 }

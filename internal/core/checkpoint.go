@@ -77,20 +77,11 @@ type buildState struct {
 	coverage       CoverageStats
 }
 
-// writeCheckpoint serializes st to path atomically: the bytes are
-// written to a temp file in the same directory and renamed into place,
-// so a crash mid-write leaves either the previous checkpoint or none —
-// never a torn file.
-func writeCheckpoint(path string, st *buildState) (int64, error) {
-	buf, err := marshalCheckpoint(st)
-	if err != nil {
-		return 0, err
-	}
-	return writeFileAtomic(path, buf)
-}
-
-// writeFileAtomic publishes buf at path via temp-file + fsync + rename.
-func writeFileAtomic(path string, buf []byte) (int64, error) {
+// WriteCheckpointFile publishes checkpoint bytes at path atomically:
+// they are written to a temp file in the same directory, synced, and
+// renamed into place, so a crash mid-write leaves either the previous
+// checkpoint or none — never a torn file. It returns the byte count.
+func WriteCheckpointFile(path string, buf []byte) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -119,18 +110,12 @@ func writeFileAtomic(path string, buf []byte) (int64, error) {
 }
 
 func marshalCheckpoint(st *buildState) ([]byte, error) {
-	var ds bytes.Buffer
-	if err := st.ds.WriteJSON(&ds); err != nil {
-		return nil, fmt.Errorf("core: serializing checkpoint dataset: %w", err)
-	}
 	cp := checkpointJSON{
 		Version:           checkpointVersion,
 		Iterations:        st.iterations,
-		Dataset:           json.RawMessage(ds.Bytes()),
-		Scanned:           sortedAddrHex(st.scanned),
-		Classified:        sortedHashHex(st.classified),
-		PendingOperators:  sortedAddrHex(st.tracker.ops),
-		PendingAffiliates: sortedAddrHex(st.tracker.affs),
+		Scanned:           sortedHex(st.scanned),
+		PendingOperators:  sortedHex(st.tracker.ops),
+		PendingAffiliates: sortedHex(st.tracker.affs),
 	}
 	if st.quarantine != nil {
 		blob, err := st.quarantine.Snapshot()
@@ -152,61 +137,86 @@ func marshalCheckpoint(st *buildState) ([]byte, error) {
 		}
 		cp.Coverage = cov
 	}
-	buf, err := json.MarshalIndent(cp, "", " ")
+	return encodeCheckpoint(cp, st.ds, st.classified)
+}
+
+// encodeCheckpoint serializes cp after filling in the two parts every
+// checkpoint version carries: the dataset and the classified set.
+func encodeCheckpoint(cp checkpointJSON, ds *Dataset, classified map[ethtypes.Hash]bool) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := ds.WriteJSON(&buf); err != nil {
+		return nil, fmt.Errorf("core: serializing checkpoint dataset: %w", err)
+	}
+	cp.Dataset = json.RawMessage(buf.Bytes())
+	cp.Classified = sortedHex(classified)
+	out, err := json.MarshalIndent(cp, "", " ")
 	if err != nil {
 		return nil, fmt.Errorf("core: serializing checkpoint: %w", err)
 	}
-	return buf, nil
+	return out, nil
 }
 
-// readCheckpoint loads and validates a checkpoint written by
-// writeCheckpoint.
-func readCheckpoint(r io.Reader) (*buildState, error) {
+// decodeCheckpoint decodes a checkpoint, refusing any version but
+// want, and returns it with its dataset and classified set decoded.
+func decodeCheckpoint(r io.Reader, want int) (*checkpointJSON, *Dataset, map[ethtypes.Hash]bool, error) {
 	var cp checkpointJSON
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+	if cp.Version != want {
+		return nil, nil, nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, want)
 	}
 	ds, err := ReadJSON(bytes.NewReader(cp.Dataset))
 	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint dataset: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: checkpoint dataset: %w", err)
 	}
-	st := &buildState{
-		ds:         ds,
-		scanned:    make(map[ethtypes.Address]bool, len(cp.Scanned)),
-		classified: make(map[ethtypes.Hash]bool, len(cp.Classified)),
-		tracker:    newFrontierTracker(),
-		iterations: cp.Iterations,
-	}
-	for _, s := range cp.Scanned {
-		a, err := ethtypes.HexToAddress(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint scanned account: %w", err)
-		}
-		st.scanned[a] = true
-	}
+	classified := make(map[ethtypes.Hash]bool, len(cp.Classified))
 	for _, s := range cp.Classified {
 		h, err := ethtypes.HexToHash(s)
 		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint classified tx: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: checkpoint classified tx: %w", err)
 		}
-		st.classified[h] = true
+		classified[h] = true
 	}
-	for _, s := range cp.PendingOperators {
-		a, err := ethtypes.HexToAddress(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint pending operator: %w", err)
-		}
-		st.tracker.ops[a] = true
+	return &cp, ds, classified, nil
+}
+
+// loadCheckpointFile opens path and decodes it with read; a missing
+// file returns the zero value and no error, so a resume run with no
+// checkpoint starts fresh.
+func loadCheckpointFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return zero, nil
 	}
-	for _, s := range cp.PendingAffiliates {
-		a, err := ethtypes.HexToAddress(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint pending affiliate: %w", err)
-		}
-		st.tracker.affs[a] = true
+	if err != nil {
+		return zero, fmt.Errorf("core: opening checkpoint: %w", err)
+	}
+	defer f.Close()
+	return read(f)
+}
+
+// readCheckpoint loads and validates a pipeline checkpoint.
+func readCheckpoint(r io.Reader) (*buildState, error) {
+	cp, ds, classified, err := decodeCheckpoint(r, checkpointVersion)
+	if err != nil {
+		return nil, err
+	}
+	st := &buildState{
+		ds:         ds,
+		classified: classified,
+		tracker:    newFrontierTracker(),
+		iterations: cp.Iterations,
+	}
+	if st.scanned, err = parseAddrSet(cp.Scanned, "scanned account"); err != nil {
+		return nil, err
+	}
+	if st.tracker.ops, err = parseAddrSet(cp.PendingOperators, "pending operator"); err != nil {
+		return nil, err
+	}
+	if st.tracker.affs, err = parseAddrSet(cp.PendingAffiliates, "pending affiliate"); err != nil {
+		return nil, err
 	}
 	st.quarantineBlob = []byte(cp.Quarantine)
 	st.coverage = CoverageStats{Degraded: make(map[ethtypes.Address]int64)}
@@ -225,34 +235,28 @@ func readCheckpoint(r io.Reader) (*buildState, error) {
 	return st, nil
 }
 
-// loadCheckpoint opens path and restores the state; a missing file
-// returns (nil, nil) so a resume run with no checkpoint degrades to a
-// fresh build.
-func loadCheckpoint(path string) (*buildState, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
+// parseAddrSet decodes hex addresses into a set; what names the list
+// in errors.
+func parseAddrSet(hexes []string, what string) (map[ethtypes.Address]bool, error) {
+	out := make(map[ethtypes.Address]bool, len(hexes))
+	for _, s := range hexes {
+		a, err := ethtypes.HexToAddress(s)
+		if err != nil {
+			return nil, fmt.Errorf("core: checkpoint %s: %w", what, err)
+		}
+		out[a] = true
 	}
-	if err != nil {
-		return nil, fmt.Errorf("core: opening checkpoint: %w", err)
-	}
-	defer f.Close()
-	return readCheckpoint(f)
+	return out, nil
 }
 
-func sortedAddrHex(m map[ethtypes.Address]bool) []string {
+// sortedHex returns the hex forms of a set's members, sorted.
+func sortedHex[K interface {
+	comparable
+	Hex() string
+}](m map[K]bool) []string {
 	out := make([]string, 0, len(m))
-	for a := range m {
-		out = append(out, a.Hex())
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedHashHex(m map[ethtypes.Hash]bool) []string {
-	out := make([]string, 0, len(m))
-	for h := range m {
-		out = append(out, h.Hex())
+	for k := range m {
+		out = append(out, k.Hex())
 	}
 	sort.Strings(out)
 	return out

@@ -150,6 +150,38 @@ func TestCheckpointVersionMismatchRefused(t *testing.T) {
 	}
 }
 
+// TestPipelineRefusesRadarCheckpoint: a version-3 radar checkpoint is
+// not a pipeline checkpoint, so resuming a build from one fails.
+func TestPipelineRefusesRadarCheckpoint(t *testing.T) {
+	ds, err := (&core.Pipeline{Source: core.LocalSource{Chain: sharedWorld.Chain}, Labels: sharedWorld.Labels}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "radar.ckpt")
+	blob, err := core.MarshalRadarCheckpoint(&core.RadarCheckpoint{Dataset: ds, Head: 1, Radar: []byte(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.WriteCheckpointFile(path, blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildWithCheckpoint(t, core.LocalSource{Chain: sharedWorld.Chain}, path, true, nil); err == nil {
+		t.Fatal("pipeline resumed from a version-3 radar checkpoint")
+	}
+}
+
+// TestRadarLoaderRefusesPipelineCheckpoint: the radar loader refuses a
+// version-2 pipeline checkpoint.
+func TestRadarLoaderRefusesPipelineCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pipeline.ckpt")
+	if _, err := buildWithCheckpoint(t, core.LocalSource{Chain: sharedWorld.Chain}, path, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadRadarCheckpoint(path); err == nil {
+		t.Fatal("radar loader accepted a version-2 pipeline checkpoint")
+	}
+}
+
 // TestCheckpointedBuildExportUnchanged: turning checkpointing on must
 // not perturb the dataset itself.
 func TestCheckpointedBuildExportUnchanged(t *testing.T) {

@@ -171,13 +171,19 @@ func hashLess(a, b ethtypes.Hash) bool {
 }
 
 // touchAccount updates or creates an account record with a sighting,
-// reporting whether the account is new to the map (the pipeline's
-// frontier tracker keys off creations).
+// reporting whether the account is new to the map. A seed-phase
+// sighting upgrades an expansion-discovered account, never the
+// reverse: the batch build runs its whole seed phase first, so any
+// party to a seed contract's split carries the seed tag there, and in
+// block order the expansion sighting can come first.
 func touchAccount(m map[ethtypes.Address]*AccountRecord, a ethtypes.Address, t time.Time, found Discovery) bool {
 	rec, ok := m[a]
 	if !ok {
 		m[a] = &AccountRecord{Address: a, Found: found, FirstSeen: t, LastSeen: t}
 		return true
+	}
+	if found == DiscoverySeed {
+		rec.Found = DiscoverySeed
 	}
 	if t.Before(rec.FirstSeen) {
 		rec.FirstSeen = t

@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"sort"
-	"strconv"
 	"sync"
 
-	"repro/internal/chain"
 	"repro/internal/ethtypes"
 	"repro/internal/labels"
 	"repro/internal/obs"
@@ -23,11 +21,6 @@ type Pipeline struct {
 	// MaxIterations bounds the expansion loop as a safety valve; the
 	// loop normally reaches a fixpoint long before (default 50).
 	MaxIterations int
-	// DisableExpansionGate admits any contract whose transactions
-	// match the split pattern, even when reached from nowhere — used
-	// only by the ablation bench, where the pipeline additionally
-	// scans unconnected contracts.
-	DisableExpansionGate bool
 	// StaticPreFilter statically analyzes candidate bytecode (when
 	// Source implements CodeSource) and skips contracts that provably
 	// cannot split value, saving their full history scan. Purely an
@@ -98,19 +91,12 @@ type pipelineMetrics struct {
 	iterations      *obs.Counter
 	frontier        *obs.Gauge
 	accountsScanned *obs.Counter
-	txFetched       *obs.Counter
-	txClassified    *obs.Counter
 	prefilterSkips  *obs.Counter
-	splits          *obs.CounterVec
-	contracts       *obs.CounterVec
-	fetchBatch      *obs.Histogram
-	fetchWorkers    *obs.Gauge
 	scanWorkers     *obs.Gauge
 	ckptWrites      *obs.Counter
 	ckptBytes       *obs.Gauge
 	ckptResumes     *obs.Counter
 	ckptLastIter    *obs.Gauge
-	txQuarantined   *obs.Counter
 	degradedAccts   *obs.Gauge
 }
 
@@ -119,19 +105,12 @@ func newPipelineMetrics(r *obs.Registry) pipelineMetrics {
 		iterations:      r.Counter("daas_pipeline_iterations_total", "expansion iterations executed (§5.1 step 4)"),
 		frontier:        r.Gauge("daas_pipeline_frontier_accounts", "accounts in the most recent expansion frontier"),
 		accountsScanned: r.Counter("daas_pipeline_accounts_scanned_total", "operator/affiliate accounts whose histories were walked"),
-		txFetched:       r.Counter("daas_pipeline_tx_fetched_total", "transactions (with receipts) fetched from the chain source"),
-		txClassified:    r.Counter("daas_pipeline_tx_classified_total", "transactions run through the profit-sharing classifier"),
 		prefilterSkips:  r.Counter("daas_pipeline_prefilter_skips_total", "candidate contracts skipped by the static pre-filter"),
-		splits:          r.CounterVec("daas_classifier_splits_total", "profit-sharing splits matched per operator-share ratio (§4.3)", "ratio_pm"),
-		contracts:       r.CounterVec("daas_pipeline_contracts_admitted_total", "profit-sharing contracts admitted to the dataset", "discovery"),
-		fetchBatch:      r.Histogram("daas_pipeline_fetch_batch_size", "transactions per fetchAll batch", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}),
-		fetchWorkers:    r.Gauge("daas_pipeline_fetch_workers", "parallel fetch workers used by the most recent batch"),
 		scanWorkers:     r.Gauge("daas_pipeline_scan_workers", "parallel frontier scanners used by the most recent expansion iteration"),
 		ckptWrites:      r.Counter("daas_checkpoint_writes_total", "pipeline checkpoints written to disk"),
 		ckptBytes:       r.Gauge("daas_checkpoint_bytes", "size of the most recent checkpoint file"),
 		ckptResumes:     r.Counter("daas_checkpoint_resumes_total", "builds resumed from an on-disk checkpoint"),
 		ckptLastIter:    r.Gauge("daas_checkpoint_last_iteration", "expansion iterations completed at the most recent checkpoint"),
-		txQuarantined:   r.Counter("daas_pipeline_tx_quarantined_total", "transaction+receipt pairs dropped because the integrity layer quarantined a record"),
 		degradedAccts:   r.Gauge("daas_pipeline_degraded_accounts", "accounts whose histories are partially scanned due to quarantined records"),
 	}
 }
@@ -147,22 +126,6 @@ func (p *Pipeline) logger() *obs.Logger {
 	}
 	p.traceOnce.Do(func() { p.traceLog = obs.NewCallback(p.Trace) })
 	return p.traceLog
-}
-
-// fetched pairs one transaction with its receipt.
-type fetched struct {
-	tx  *chain.Transaction
-	rec *chain.Receipt
-}
-
-// defaultBatchSize caps one BatchSource call when BatchSize is unset.
-const defaultBatchSize = 128
-
-func (p *Pipeline) batchSize() int {
-	if p.BatchSize > 0 {
-		return p.BatchSize
-	}
-	return defaultBatchSize
 }
 
 // runWorkers executes fn over n indexed jobs with up to workers
@@ -223,133 +186,6 @@ feed:
 	return ctx.Err()
 }
 
-// fetchAll retrieves transactions and receipts for the given hashes, in
-// order. When Source can batch, the hashes collapse into a handful of
-// round trips; otherwise up to Concurrency workers fetch in parallel.
-// Outstanding work is cancelled as soon as any fetch fails.
-func (p *Pipeline) fetchAll(ctx context.Context, hashes []ethtypes.Hash) ([]fetched, error) {
-	out := make([]fetched, len(hashes))
-	if len(hashes) == 0 {
-		return out, nil
-	}
-	p.pm.fetchBatch.Observe(float64(len(hashes)))
-	if bs, ok := p.Source.(BatchSource); ok {
-		if err := p.fetchBatched(ctx, bs, hashes, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	workers := p.Concurrency
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(hashes) {
-		workers = len(hashes)
-	}
-	p.pm.fetchWorkers.Set(int64(workers))
-	err := runWorkers(ctx, len(hashes), workers, func(i int) error {
-		pair, err := p.fetchOne(ctx, hashes[i])
-		if err != nil {
-			return err
-		}
-		out[i] = pair
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// fetchBatched fills out[i] for hashes[i] through a BatchSource,
-// splitting the request into BatchSize chunks fetched by up to
-// Concurrency workers.
-func (p *Pipeline) fetchBatched(ctx context.Context, bs BatchSource, hashes []ethtypes.Hash, out []fetched) error {
-	size := p.batchSize()
-	chunks := (len(hashes) + size - 1) / size
-	workers := p.Concurrency
-	if workers < 1 {
-		workers = 1
-	}
-	p.pm.fetchWorkers.Set(int64(min(workers, chunks)))
-	return runWorkers(ctx, chunks, workers, func(c int) error {
-		lo := c * size
-		hi := min(lo+size, len(hashes))
-		chunk := hashes[lo:hi]
-		txs, err := bs.BatchTransactions(chunk)
-		if err != nil {
-			return fmt.Errorf("core: batch-fetching %d transactions: %w", len(chunk), err)
-		}
-		recs, err := bs.BatchReceipts(chunk)
-		if err != nil {
-			return fmt.Errorf("core: batch-fetching %d receipts: %w", len(chunk), err)
-		}
-		if len(txs) != len(chunk) || len(recs) != len(chunk) {
-			return fmt.Errorf("core: batch source returned %d txs / %d receipts for %d hashes", len(txs), len(recs), len(chunk))
-		}
-		// A nil batch entry is a quarantined record (the integrity
-		// layer's degradation contract); the pair is dropped, not fatal.
-		var admitted int64
-		for i := range chunk {
-			if txs[i] == nil || recs[i] == nil {
-				p.pm.txQuarantined.Inc()
-				continue
-			}
-			out[lo+i] = fetched{txs[i], recs[i]}
-			admitted++
-		}
-		p.pm.txFetched.Add(uint64(admitted))
-		p.Coverage.NoteFetched(admitted)
-		return nil
-	})
-}
-
-// fetchOne retrieves one transaction+receipt pair, wrapping any failure
-// with the hash and method so a failed worker is attributable. The
-// context reaches the wire when Source implements ContextSource, so
-// cancel-on-first-error aborts in-flight HTTP instead of waiting it out.
-// A quarantined record (ErrQuarantined, or a nil entry replayed from a
-// cache that stored a quarantined batch slot) degrades to an empty pair
-// instead of failing the scan; callers skip empty pairs and account for
-// them in Coverage.
-func (p *Pipeline) fetchOne(ctx context.Context, h ethtypes.Hash) (fetched, error) {
-	tx, err := SourceTransaction(ctx, p.Source, h)
-	if err != nil {
-		if errors.Is(err, ErrQuarantined) {
-			p.pm.txQuarantined.Inc()
-			return fetched{}, nil
-		}
-		return fetched{}, fmt.Errorf("core: fetching transaction %s: %w", h, err)
-	}
-	rec, err := SourceReceipt(ctx, p.Source, h)
-	if err != nil {
-		if errors.Is(err, ErrQuarantined) {
-			p.pm.txQuarantined.Inc()
-			return fetched{}, nil
-		}
-		return fetched{}, fmt.Errorf("core: fetching receipt %s: %w", h, err)
-	}
-	if tx == nil || rec == nil {
-		p.pm.txQuarantined.Inc()
-		return fetched{}, nil
-	}
-	p.pm.txFetched.Inc()
-	p.Coverage.NoteFetched(1)
-	return fetched{tx, rec}, nil
-}
-
-// classify runs the classifier over one transaction, recording
-// per-ratio match outcomes. Safe for concurrent use: the classifier is
-// read-only and the instruments are atomic.
-func (p *Pipeline) classify(tx *chain.Transaction, r *chain.Receipt) []Split {
-	p.pm.txClassified.Inc()
-	splits := p.Classifier.Classify(tx, r)
-	for _, sp := range splits {
-		p.pm.splits.With(strconv.FormatInt(sp.RatioPM, 10)).Inc()
-	}
-	return splits
-}
-
 // frontierTracker records operator/affiliate accounts added to the
 // dataset since the last frontier was computed, replacing the
 // per-iteration full re-sort of both account maps with an incremental
@@ -379,6 +215,18 @@ func (t *frontierTracker) next(scanned map[ethtypes.Address]bool) []ethtypes.Add
 	t.ops = make(map[ethtypes.Address]bool)
 	t.affs = make(map[ethtypes.Address]bool)
 	return out
+}
+
+// admitted is the pipeline's OnAdmit hook: new operators and
+// affiliates join the next frontier.
+func (t *frontierTracker) admitted(role Role, a ethtypes.Address, _ Discovery) error {
+	switch role {
+	case RoleOperator:
+		t.ops[a] = true
+	case RoleAffiliate:
+		t.affs[a] = true
+	}
+	return nil
 }
 
 func appendSortedUnscanned(dst []ethtypes.Address, pending, scanned map[ethtypes.Address]bool) []ethtypes.Address {
@@ -429,6 +277,7 @@ func (p *Pipeline) Build() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	adm := p.admission(st)
 
 	// Step 4: snowball expansion until fixpoint. On resume the loop
 	// picks up at the checkpoint's completed-iteration count; the
@@ -447,7 +296,7 @@ func (p *Pipeline) Build() (*Dataset, error) {
 		_, iterSpan := obs.Start(ctx, "pipeline.expand.iter")
 		iterSpan.SetAttr("iter", iter+1)
 		iterSpan.SetAttr("frontier", len(frontier))
-		if err := p.expandIteration(ctx, st.ds, frontier, st.scanned, st.classified, st.tracker); err != nil {
+		if err := p.expandIteration(ctx, adm, frontier, st.scanned); err != nil {
 			iterSpan.End()
 			return nil, err
 		}
@@ -481,7 +330,7 @@ func (p *Pipeline) Build() (*Dataset, error) {
 // build (steps 1–3), checkpointed before expansion begins.
 func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 	if p.Resume && p.CheckpointPath != "" {
-		st, err := loadCheckpoint(p.CheckpointPath)
+		st, err := loadCheckpointFile(p.CheckpointPath, readCheckpoint)
 		if err != nil {
 			return nil, err
 		}
@@ -540,8 +389,9 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 	// Step 2 + 3: identify profit-sharing contracts among the reports
 	// and extract operator/affiliate accounts — the seed dataset.
 	_, absorb := obs.Start(ctx, "pipeline.seed.absorb")
+	adm := p.admission(st)
 	for _, addr := range seedContracts {
-		if err := p.absorbContract(ctx, st.ds, addr, DiscoverySeed, st.classified, st.tracker); err != nil {
+		if err := p.absorbContract(ctx, adm, addr, DiscoverySeed); err != nil {
 			absorb.End()
 			return nil, fmt.Errorf("core: step 2: %w", err)
 		}
@@ -569,7 +419,11 @@ func (p *Pipeline) checkpoint(st *buildState) error {
 	if p.CheckpointPath == "" {
 		return nil
 	}
-	n, err := writeCheckpoint(p.CheckpointPath, st)
+	buf, err := marshalCheckpoint(st)
+	if err != nil {
+		return err
+	}
+	n, err := WriteCheckpointFile(p.CheckpointPath, buf)
 	if err != nil {
 		return err
 	}
@@ -597,8 +451,8 @@ func (p *Pipeline) checkpointEvery() int {
 // classify) is pure, and every stateful decision — admission, the
 // expansion gate, the classified set — happens only in the merger, so
 // the dataset is identical to the serial build.
-func (p *Pipeline) expandIteration(ctx context.Context, ds *Dataset, frontier []ethtypes.Address,
-	scanned map[ethtypes.Address]bool, classified map[ethtypes.Hash]bool, tracker *frontierTracker) error {
+func (p *Pipeline) expandIteration(ctx context.Context, adm *Admission, frontier []ethtypes.Address,
+	scanned map[ethtypes.Address]bool) error {
 
 	workers := p.Concurrency
 	if workers > len(frontier) {
@@ -610,11 +464,11 @@ func (p *Pipeline) expandIteration(ctx context.Context, ds *Dataset, frontier []
 			scanned[acct] = true
 			p.pm.accountsScanned.Inc()
 			p.Coverage.NoteScanned(1)
-			out := p.scanAccount(ctx, acct, classified)
+			out := p.scanAccount(ctx, adm, acct, adm.Classified)
 			if out.err != nil {
 				return out.err
 			}
-			if err := p.mergeScan(ctx, ds, acct, out, classified, tracker); err != nil {
+			if err := p.mergeScan(ctx, adm, acct, out); err != nil {
 				return err
 			}
 		}
@@ -630,7 +484,7 @@ func (p *Pipeline) expandIteration(ctx context.Context, ds *Dataset, frontier []
 	// scan may fetch and classify a few hashes the serial walk would
 	// have skipped. The merger re-checks the live set before using any
 	// result, which is also what makes the speculation safe.
-	snapshot := maps.Clone(classified)
+	snapshot := maps.Clone(adm.Classified)
 	results := make([]chan scanOutcome, len(frontier))
 	for i := range results {
 		results[i] = make(chan scanOutcome, 1)
@@ -654,7 +508,7 @@ func (p *Pipeline) expandIteration(ctx context.Context, ds *Dataset, frontier []
 			}
 			go func(i int, acct ethtypes.Address) {
 				defer func() { <-sem }()
-				results[i] <- p.scanAccount(ctx, acct, snapshot)
+				results[i] <- p.scanAccount(ctx, adm, acct, snapshot)
 			}(i, acct)
 		}
 	}()
@@ -668,7 +522,7 @@ func (p *Pipeline) expandIteration(ctx context.Context, ds *Dataset, frontier []
 		scanned[acct] = true
 		p.pm.accountsScanned.Inc()
 		p.Coverage.NoteScanned(1)
-		if err := p.mergeScan(ctx, ds, acct, out, classified, tracker); err != nil {
+		if err := p.mergeScan(ctx, adm, acct, out); err != nil {
 			return err
 		}
 	}
@@ -678,7 +532,7 @@ func (p *Pipeline) expandIteration(ctx context.Context, ds *Dataset, frontier []
 // scanAccount walks one frontier account's history: list, filter
 // already-classified hashes, fetch, classify. It reads skip (which
 // must not be mutated concurrently) and shared immutable state only.
-func (p *Pipeline) scanAccount(ctx context.Context, acct ethtypes.Address, skip map[ethtypes.Hash]bool) scanOutcome {
+func (p *Pipeline) scanAccount(ctx context.Context, adm *Admission, acct ethtypes.Address, skip map[ethtypes.Hash]bool) scanOutcome {
 	if err := ctx.Err(); err != nil {
 		return scanOutcome{err: err}
 	}
@@ -686,13 +540,8 @@ func (p *Pipeline) scanAccount(ctx context.Context, acct ethtypes.Address, skip 
 	if err != nil {
 		return scanOutcome{err: fmt.Errorf("core: step 4: %w", err)}
 	}
-	fresh := hashes[:0:0]
-	for _, h := range hashes {
-		if !skip[h] {
-			fresh = append(fresh, h)
-		}
-	}
-	pairs, err := p.fetchAll(ctx, fresh)
+	fresh := unclassified(hashes, skip)
+	pairs, err := adm.fetchAll(ctx, fresh)
 	if err != nil {
 		return scanOutcome{err: err}
 	}
@@ -708,23 +557,21 @@ func (p *Pipeline) scanAccount(ctx context.Context, acct ethtypes.Address, skip 
 			continue
 		}
 		kept = append(kept, h)
-		splits = append(splits, p.classify(pairs[i].tx, pairs[i].rec))
+		splits = append(splits, adm.Classify(pairs[i].tx, pairs[i].rec))
 	}
 	return scanOutcome{fresh: kept, splits: splits, quarantined: quarantined}
 }
 
 // mergeScan applies one account's scan outcome to the dataset. Always
 // called from a single goroutine, in frontier order.
-func (p *Pipeline) mergeScan(ctx context.Context, ds *Dataset, acct ethtypes.Address, out scanOutcome,
-	classified map[ethtypes.Hash]bool, tracker *frontierTracker) error {
-
+func (p *Pipeline) mergeScan(ctx context.Context, adm *Admission, acct ethtypes.Address, out scanOutcome) error {
 	if out.quarantined > 0 {
 		p.Coverage.NoteQuarantined(acct, out.quarantined)
 		p.logger().Info("account degraded: quarantined records in history",
 			"account", acct.Short(), "quarantined", out.quarantined)
 	}
 	for i, h := range out.fresh {
-		if classified[h] {
+		if adm.Classified[h] {
 			continue // classified by an earlier absorb this pass
 		}
 		splits := out.splits[i]
@@ -732,133 +579,45 @@ func (p *Pipeline) mergeScan(ctx context.Context, ds *Dataset, acct ethtypes.Add
 			continue
 		}
 		contract := splits[0].Contract
-		if _, known := ds.Contracts[contract]; known {
+		if crec, known := adm.DS.Contracts[contract]; known {
 			// Known contract, possibly new counterparties.
-			p.recordSplits(ds, splits, DiscoveryExpansion, tracker)
-			classified[h] = true
+			if err := adm.Fold(crec, h, splits); err != nil {
+				return err
+			}
 			continue
 		}
-		// Expansion gate: the invoked contract must have interacted
-		// with an account already in the dataset — here, the frontier
-		// account whose history surfaced it.
-		if !p.DisableExpansionGate {
-			if !p.interactsWithDataset(ds, splits, acct) {
-				continue
-			}
+		// The frontier account whose history surfaced the transaction
+		// is its only witness.
+		if !adm.Gate(splits, []ethtypes.Address{acct}) {
+			continue
 		}
-		if err := p.absorbContract(ctx, ds, contract, DiscoveryExpansion, classified, tracker); err != nil {
+		if err := p.absorbContract(ctx, adm, contract, DiscoveryExpansion); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// interactsWithDataset checks the expansion gate: some party of the
-// split transaction besides the invoked contract is already a DaaS
-// account (the frontier account itself qualifies by construction; the
-// check also accepts splits paying known accounts).
-func (p *Pipeline) interactsWithDataset(ds *Dataset, splits []Split, frontier ethtypes.Address) bool {
-	for _, sp := range splits {
-		if sp.Operator == frontier || sp.Affiliate == frontier || sp.Payer == frontier {
-			return true
-		}
-		if ds.IsDaaSAccount(sp.Operator) || ds.IsDaaSAccount(sp.Affiliate) {
-			return true
-		}
-	}
-	return false
-}
-
-// absorbContract classifies the history of a candidate contract; if
-// any profit-sharing transaction is found the contract and its split
-// counterparties join the dataset. Hashes already classified in prior
-// passes are skipped the same way the frontier walk skips them: their
-// splits are on record, and re-classifying them would both waste
-// fetches and duplicate split records.
-func (p *Pipeline) absorbContract(ctx context.Context, ds *Dataset, addr ethtypes.Address, found Discovery,
-	classified map[ethtypes.Hash]bool, tracker *frontierTracker) error {
-
-	if _, known := ds.Contracts[addr]; known {
-		return nil
-	}
+// absorbContract absorbs the whole history of a contract outside the
+// dataset, unless the static pre-filter rules it out first.
+func (p *Pipeline) absorbContract(ctx context.Context, adm *Admission, addr ethtypes.Address, found Discovery) error {
 	if p.staticSkip(addr) {
 		p.pm.prefilterSkips.Inc()
 		p.logger().Debug("static pre-filter: contract cannot split value, skipping history scan",
 			"contract", addr.Short())
 		return nil
 	}
-	hashes, err := p.Source.TransactionsOf(addr)
-	if err != nil {
-		return err
-	}
-	fresh := hashes[:0:0]
-	for _, h := range hashes {
-		if !classified[h] {
-			fresh = append(fresh, h)
-		}
-	}
-	var rec *ContractRecord
-	pairs, err := p.fetchAll(ctx, fresh)
-	if err != nil {
-		return err
-	}
-	var quarantined int64
-	for pi, h := range fresh {
-		tx, r := pairs[pi].tx, pairs[pi].rec
-		if tx == nil || r == nil {
-			// Quarantined: skip without marking classified, and book the
-			// gap against the contract being absorbed.
-			quarantined++
-			continue
-		}
-		splits := p.classify(tx, r)
-		// Only splits invoked through this contract count toward it.
-		var own []Split
-		for _, sp := range splits {
-			if sp.Contract == addr {
-				own = append(own, sp)
-			}
-		}
-		if len(own) == 0 {
-			continue
-		}
-		if rec == nil {
-			rec = &ContractRecord{Address: addr, Found: found, FirstSeen: r.Timestamp, LastSeen: r.Timestamp}
-			ds.Contracts[addr] = rec
-			p.pm.contracts.With(string(found)).Inc()
-			if found == DiscoverySeed {
-				for _, l := range p.Labels.Of(addr) {
-					rec.Sources = append(rec.Sources, string(l.Source))
-				}
-			}
-		}
-		if r.Timestamp.Before(rec.FirstSeen) {
-			rec.FirstSeen = r.Timestamp
-		}
-		if r.Timestamp.After(rec.LastSeen) {
-			rec.LastSeen = r.Timestamp
-		}
-		rec.TxCount++
-		classified[h] = true
-		p.recordSplits(ds, own, found, tracker)
-	}
-	p.Coverage.NoteQuarantined(addr, quarantined)
-	return nil
+	_, err := adm.Absorb(ctx, addr, found, math.MaxUint64)
+	return err
 }
 
-// recordSplits stores splits and registers their operator and
-// affiliate accounts, feeding newly created accounts to the frontier
-// tracker.
-func (p *Pipeline) recordSplits(ds *Dataset, splits []Split, found Discovery, tracker *frontierTracker) {
-	for _, sp := range splits {
-		ds.Splits[sp.TxHash] = append(ds.Splits[sp.TxHash], sp)
-		if touchAccount(ds.Operators, sp.Operator, sp.Time, found) {
-			tracker.ops[sp.Operator] = true
-		}
-		if touchAccount(ds.Affiliates, sp.Affiliate, sp.Time, found) {
-			tracker.affs[sp.Affiliate] = true
-		}
-	}
+// admission returns the admission state over st, feeding each newly
+// admitted operator and affiliate to the frontier tracker.
+func (p *Pipeline) admission(st *buildState) *Admission {
+	adm := NewAdmission(p.Source, p.Labels, p.Classifier, p.Coverage, p.Metrics, st.tracker.admitted)
+	adm.concurrency, adm.batch = p.Concurrency, p.BatchSize
+	adm.DS, adm.Classified = st.ds, st.classified
+	return adm
 }
 
 func (p *Pipeline) maxIter() int {

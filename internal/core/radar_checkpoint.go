@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/ethtypes"
 )
@@ -35,78 +33,25 @@ type RadarCheckpoint struct {
 // radar also uses these bytes as in-memory rollback restore points, so
 // restoring one must be equivalent to a resume from disk.
 func MarshalRadarCheckpoint(cp *RadarCheckpoint) ([]byte, error) {
-	var ds bytes.Buffer
-	if err := cp.Dataset.WriteJSON(&ds); err != nil {
-		return nil, fmt.Errorf("core: serializing radar checkpoint dataset: %w", err)
-	}
 	head := cp.Head
-	out := checkpointJSON{
-		Version:    radarCheckpointVersion,
-		Dataset:    json.RawMessage(ds.Bytes()),
-		Classified: sortedHashHex(cp.Classified),
-		Head:       &head,
-		Radar:      cp.Radar,
-	}
-	buf, err := json.MarshalIndent(out, "", " ")
-	if err != nil {
-		return nil, fmt.Errorf("core: serializing radar checkpoint: %w", err)
-	}
-	return buf, nil
-}
-
-// WriteRadarCheckpoint serializes cp to path atomically (temp file +
-// fsync + rename, like the pipeline checkpoint writer) and returns the
-// byte length written.
-func WriteRadarCheckpoint(path string, cp *RadarCheckpoint) (int64, error) {
-	buf, err := MarshalRadarCheckpoint(cp)
-	if err != nil {
-		return 0, err
-	}
-	return writeFileAtomic(path, buf)
+	return encodeCheckpoint(checkpointJSON{Version: radarCheckpointVersion, Head: &head, Radar: cp.Radar},
+		cp.Dataset, cp.Classified)
 }
 
 // ReadRadarCheckpoint decodes a radar checkpoint from r.
 func ReadRadarCheckpoint(r io.Reader) (*RadarCheckpoint, error) {
-	var in checkpointJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("core: decoding radar checkpoint: %w", err)
-	}
-	if in.Version != radarCheckpointVersion {
-		return nil, fmt.Errorf("core: radar checkpoint version %d, want %d", in.Version, radarCheckpointVersion)
+	in, ds, classified, err := decodeCheckpoint(r, radarCheckpointVersion)
+	if err != nil {
+		return nil, err
 	}
 	if in.Head == nil {
 		return nil, fmt.Errorf("core: radar checkpoint missing head_cursor")
 	}
-	ds, err := ReadJSON(bytes.NewReader(in.Dataset))
-	if err != nil {
-		return nil, fmt.Errorf("core: radar checkpoint dataset: %w", err)
-	}
-	cp := &RadarCheckpoint{
-		Dataset:    ds,
-		Classified: make(map[ethtypes.Hash]bool, len(in.Classified)),
-		Head:       *in.Head,
-		Radar:      in.Radar,
-	}
-	for _, s := range in.Classified {
-		h, err := ethtypes.HexToHash(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: radar checkpoint classified tx: %w", err)
-		}
-		cp.Classified[h] = true
-	}
-	return cp, nil
+	return &RadarCheckpoint{Dataset: ds, Classified: classified, Head: *in.Head, Radar: in.Radar}, nil
 }
 
 // LoadRadarCheckpoint opens path and decodes it; a missing file
 // returns (nil, nil) so a resume run with no checkpoint starts fresh.
 func LoadRadarCheckpoint(path string) (*RadarCheckpoint, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: opening radar checkpoint: %w", err)
-	}
-	defer f.Close()
-	return ReadRadarCheckpoint(f)
+	return loadCheckpointFile(path, ReadRadarCheckpoint)
 }

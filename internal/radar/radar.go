@@ -5,27 +5,24 @@
 // incrementally, and hot-swaps the screening engine's snapshot as the
 // picture changes.
 //
+// The dataset rules live in one admission core, core.Admission, with
+// two drivers: core.Pipeline walks a frontier of account histories,
+// and the radar feeds the same core in block order. For each new
+// split-bearing transaction the radar climbs one ladder: fold it into
+// a known contract, seed a labeled phishing contract, or absorb the
+// invoked contract through the expansion gate, witnessed by the
+// dataset accounts among the transaction's parties. Absorbs stop at
+// the block being ingested: later history arrives live, which keeps
+// restore points consistent with their block boundary. A transaction
+// no rung admits is parked and re-examined to fixpoint whenever the
+// dataset grows — the arrival-order analogue of the batch frontier's
+// iteration.
+//
 // The package's hard invariant is replay equivalence: feeding a chain
 // through the radar block-by-block — in any step batching, through any
 // checkpoint/resume, and across bounded reorgs — produces a dataset
 // and family export byte-identical to running core.Pipeline followed
-// by cluster.Clusterer over the finished chain. Every admission rule
-// below is a re-derivation of the batch pipeline's rule in arrival
-// order:
-//
-//   - A transaction whose splits invoke an already-known contract is
-//     folded into that contract's record immediately (the batch absorb
-//     would have seen it in the contract's history).
-//   - A split transaction invoking a labeled-phishing contract seeds
-//     that contract: its history up to the current cursor is absorbed,
-//     exactly like the batch seed phase (§5.1 step 2).
-//   - Otherwise the expansion gate is evaluated: some split party
-//     (operator, affiliate, payer) already in the dataset, or a
-//     DaaS-account recipient plus a dataset account among the
-//     transaction's touching parties. Gate failures park the
-//     transaction in a pending set that is re-examined to fixpoint
-//     whenever the dataset grows — the arrival-order analogue of the
-//     batch frontier's iteration-to-fixpoint.
+// by cluster.Clusterer over the finished chain.
 //
 // Reorgs are handled with a bounded ring of recent block hashes, two
 // in-memory restore points (serialized checkpoints at multiples of the
@@ -37,7 +34,6 @@ package radar
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -109,7 +105,6 @@ type Config struct {
 // dataset grows. splits == nil marks an unfetched (quarantined) entry.
 type pendingTx struct {
 	block    uint64
-	time     time.Time
 	splits   []core.Split
 	touching []ethtypes.Address
 }
@@ -155,12 +150,11 @@ type Radar struct {
 	cfg Config
 	m   radarMetrics
 
-	mu         sync.Mutex
-	ds         *core.Dataset
-	classified map[ethtypes.Hash]bool
-	pending    map[ethtypes.Hash]*pendingTx
-	inc        *cluster.Incremental
-	phishing   map[ethtypes.Address]bool
+	mu       sync.Mutex
+	adm      *core.Admission // the dataset and the rules that grow it
+	pending  map[ethtypes.Hash]*pendingTx
+	inc      *cluster.Incremental
+	phishing map[ethtypes.Address]bool
 
 	cursor   uint64 // last block folded in
 	lastHead uint64
@@ -191,6 +185,7 @@ func New(cfg Config) (*Radar, error) {
 		return nil, fmt.Errorf("radar: Config.Labels is required")
 	}
 	r := &Radar{cfg: cfg, m: newRadarMetrics(cfg.Metrics)}
+	r.adm = core.NewAdmission(cfg.Source, cfg.Labels, cfg.Classifier, cfg.Coverage, cfg.Metrics, r.admittedLocked)
 	r.phishing = make(map[ethtypes.Address]bool)
 	for _, a := range cfg.Labels.AllPhishing() {
 		r.phishing[a] = true
@@ -226,8 +221,8 @@ func (r *Radar) window() int {
 
 // resetLocked reinitializes to genesis state.
 func (r *Radar) resetLocked() error {
-	r.ds = core.NewDataset()
-	r.classified = make(map[ethtypes.Hash]bool)
+	r.adm.DS = core.NewDataset()
+	r.adm.Classified = make(map[ethtypes.Hash]bool)
 	r.pending = make(map[ethtypes.Hash]*pendingTx)
 	r.inc = cluster.NewIncremental(r.cfg.Labels, r.cfg.Metrics)
 	r.cursor = 0
@@ -375,21 +370,8 @@ func (r *Radar) rollbackLocked(fork uint64) error {
 	if r.cfg.Pins != nil {
 		released = r.cfg.Pins.ReleasePinsAbove(fork)
 	}
-	restored := false
-	for i := len(r.points) - 1; i >= 0; i-- {
-		if r.points[i].head <= fork {
-			if err := r.restoreBlobLocked(r.points[i].blob, true); err != nil {
-				return err
-			}
-			r.points = r.points[:i+1]
-			restored = true
-			break
-		}
-	}
-	if !restored {
-		if err := r.resetLocked(); err != nil {
-			return err
-		}
+	if err := r.restorePointLocked(fork); err != nil {
+		return err
 	}
 	r.reorgs++
 	r.m.reorgsC.Inc()
@@ -408,23 +390,26 @@ func (r *Radar) rollbackLocked(fork uint64) error {
 // exactly like a reorg rollback; a reorg update tells feed consumers
 // to resync. The original error is returned for the caller to log.
 func (r *Radar) failsafeLocked(cause error) error {
-	restored := false
-	for i := len(r.points) - 1; i >= 0; i-- {
-		if err := r.restoreBlobLocked(r.points[i].blob, true); err == nil {
-			r.points = r.points[:i+1]
-			restored = true
-			break
-		}
-	}
-	if !restored {
-		if err := r.resetLocked(); err != nil {
-			return fmt.Errorf("radar: failsafe reset after %w: %w", cause, err)
-		}
+	if err := r.restorePointLocked(r.cursor); err != nil {
+		return fmt.Errorf("radar: failsafe reset after %w: %w", cause, err)
 	}
 	r.emitLocked(Update{Kind: KindReorg, Block: r.cursor})
 	r.logger().Warn("radar ingest failed; rolled back to restore point",
 		"cursor", r.cursor, "err", cause)
 	return cause
+}
+
+// restorePointLocked reinstates the newest restore point at or below
+// block maxHead, or genesis state when there is none. A point that
+// fails to decode is dropped in favor of an older one.
+func (r *Radar) restorePointLocked(maxHead uint64) error {
+	for i := len(r.points) - 1; i >= 0; i-- {
+		if r.points[i].head <= maxHead && r.restoreBlobLocked(r.points[i].blob, true) == nil {
+			r.points = r.points[:i+1]
+			return nil
+		}
+	}
+	return r.resetLocked()
 }
 
 // maybePointLocked records an in-memory restore point every
@@ -457,294 +442,108 @@ func (r *Radar) maybeCheckpointLocked() error {
 	if r.cursor%every != 0 {
 		return nil
 	}
-	cp, err := r.buildCheckpointLocked()
+	blob, err := r.marshalStateLocked()
 	if err != nil {
 		return err
 	}
-	if _, err := core.WriteRadarCheckpoint(r.cfg.CheckpointPath, cp); err != nil {
+	if _, err := core.WriteCheckpointFile(r.cfg.CheckpointPath, blob); err != nil {
 		return err
 	}
 	r.m.ckpts.Inc()
 	return nil
 }
 
-// fetchPair mirrors the batch pipeline's fetchOne: quarantined records
-// degrade to a nil pair instead of failing the run.
-func (r *Radar) fetchPair(h ethtypes.Hash) (*chain.Transaction, *chain.Receipt, error) {
-	tx, err := r.cfg.Source.Transaction(h)
-	if err != nil {
-		if errors.Is(err, core.ErrQuarantined) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	rec, err := r.cfg.Source.Receipt(h)
-	if err != nil {
-		if errors.Is(err, core.ErrQuarantined) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	if tx == nil || rec == nil {
-		return nil, nil, nil
-	}
-	return tx, rec, nil
-}
-
-// touchingParties mirrors the chain's transaction index: the set of
-// addresses in whose history this transaction appears.
-func touchingParties(tx *chain.Transaction, rec *chain.Receipt) []ethtypes.Address {
-	seen := make(map[ethtypes.Address]bool, 8)
-	var out []ethtypes.Address
-	add := func(a ethtypes.Address) {
-		if a.IsZero() || seen[a] {
-			return
-		}
-		seen[a] = true
-		out = append(out, a)
-	}
-	add(tx.From)
-	if tx.To != nil {
-		add(*tx.To)
-	}
-	add(rec.ContractAddress)
-	for _, t := range rec.Transfers {
-		add(t.From)
-		add(t.To)
-	}
-	for _, a := range rec.Approvals {
-		add(a.Owner)
-		add(a.Spender)
-	}
-	return out
-}
-
 // processBlockLocked ingests one canonical block: every transaction is
 // fetched through the record source, fed to the incremental clusterer
-// for member parties, classified, and run through the admission rules;
+// for member parties, classified, and run through the admission ladder;
 // then the pending set is retried to fixpoint.
 func (r *Radar) processBlockLocked(ref BlockRef) error {
 	r.m.blocks.Inc()
 	r.m.txs.Add(uint64(len(ref.TxHashes)))
 	for _, h := range ref.TxHashes {
-		tx, rec, err := r.fetchPair(h)
+		tx, rec, err := r.adm.FetchOne(context.TODO(), h)
 		if err != nil {
 			return err
 		}
 		if tx == nil {
-			if !r.classified[h] {
-				if _, ok := r.pending[h]; !ok {
-					r.pending[h] = &pendingTx{block: ref.Number}
-				}
-			}
+			r.parkLocked(h, ref.Number)
 			continue
 		}
 		// Cluster evidence flows for every transaction touching a member
 		// operator — including ones already classified by an absorb
 		// earlier in this same block.
 		r.feedMembersLocked(tx, rec)
-		if r.classified[h] {
+		if r.adm.Classified[h] {
 			continue
 		}
-		splits := r.cfg.Classifier.Classify(tx, rec)
+		splits := r.adm.Classify(tx, rec)
 		if len(splits) == 0 {
 			continue
 		}
-		if err := r.applySplitTxLocked(h, ref.Number, rec, splits, touchingParties(tx, rec)); err != nil {
+		pt := &pendingTx{block: ref.Number, splits: splits, touching: chain.TouchedAccounts(tx, rec)}
+		admitted, err := r.admitLocked(h, pt, ref.Number)
+		if err != nil {
 			return err
+		}
+		if !admitted {
+			r.pending[h] = pt
 		}
 	}
 	return r.retryPendingLocked(ref.Number)
 }
 
-// applySplitTxLocked runs the admission rules on one split-bearing
-// transaction, in the same precedence the batch pipeline applies them.
-func (r *Radar) applySplitTxLocked(h ethtypes.Hash, b uint64, rec *chain.Receipt,
-	splits []core.Split, touching []ethtypes.Address) error {
-
-	contract := splits[0].Contract
-	if crec, known := r.ds.Contracts[contract]; known {
-		return r.liveRecordLocked(crec, h, rec.Timestamp, splits, b)
+// parkLocked parks an unfetched (quarantined) transaction for a later
+// retry, unless it is already folded in or parked.
+func (r *Radar) parkLocked(h ethtypes.Hash, b uint64) {
+	if _, ok := r.pending[h]; !ok && !r.adm.Classified[h] {
+		r.pending[h] = &pendingTx{block: b}
 	}
+}
+
+// admitLocked runs the admission ladder on one split-bearing
+// transaction, in the batch pipeline's precedence: fold it into a known
+// contract, seed a labeled phishing contract (its history up to block
+// b is absorbed, like the batch seed phase), or absorb the contract
+// through the expansion gate. It reports whether a rung fired; a
+// transaction no rung admits stays parked until the dataset grows.
+func (r *Radar) admitLocked(h ethtypes.Hash, pt *pendingTx, b uint64) (bool, error) {
+	contract := pt.splits[0].Contract
+	if crec, known := r.adm.DS.Contracts[contract]; known {
+		r.dirty = true
+		return true, r.adm.Fold(crec, h, pt.splits)
+	}
+	found := core.DiscoveryExpansion
 	if r.phishing[contract] {
 		isC, err := r.cfg.Source.IsContract(contract)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if isC {
-			return r.absorbLocked(contract, core.DiscoverySeed, b)
+			found = core.DiscoverySeed
 		}
 	}
-	if r.gateLocked(splits, touching) {
-		return r.absorbLocked(contract, core.DiscoveryExpansion, b)
+	if found == core.DiscoveryExpansion && !r.adm.Gate(pt.splits, pt.touching) {
+		return false, nil
 	}
-	r.pending[h] = &pendingTx{block: b, time: rec.Timestamp, splits: splits, touching: touching}
-	return nil
+	unfetched, err := r.adm.Absorb(context.TODO(), contract, found, b)
+	for _, u := range unfetched {
+		r.parkLocked(u, b)
+	}
+	return true, err
 }
 
-// liveRecordLocked folds one new split transaction into an
-// already-known contract — what the batch absorb would have done had
-// the transaction existed at absorb time.
-func (r *Radar) liveRecordLocked(crec *core.ContractRecord, h ethtypes.Hash,
-	ts time.Time, splits []core.Split, b uint64) error {
-
-	if ts.Before(crec.FirstSeen) {
-		crec.FirstSeen = ts
-	}
-	if ts.After(crec.LastSeen) {
-		crec.LastSeen = ts
-	}
-	crec.TxCount++
-	r.classified[h] = true
+// admittedLocked is the admission core's core.OnAdmit hook: it announces
+// the new account on the update feed and starts the incremental
+// cluster feed for a new operator. Admissions happen only while block
+// cursor+1 is being ingested.
+func (r *Radar) admittedLocked(role core.Role, a ethtypes.Address, found core.Discovery) error {
+	b := r.cursor + 1
 	r.dirty = true
-	return r.recordSplitsLocked(splits, crec.Found, b)
-}
-
-func (r *Radar) isOpOrAff(a ethtypes.Address) bool {
-	if _, ok := r.ds.Operators[a]; ok {
-		return true
-	}
-	_, ok := r.ds.Affiliates[a]
-	return ok
-}
-
-// gateLocked is the arrival-order form of the batch expansion gate
-// (interactsWithDataset): in the batch walk a transaction is examined
-// from the histories of scanned accounts, so the frontier clause means
-// "some split party is a dataset operator/affiliate", and the
-// DaaS-recipient clause additionally requires that a dataset account
-// appears among the transaction's touching parties (otherwise no batch
-// scan would ever have surfaced the transaction).
-func (r *Radar) gateLocked(splits []core.Split, touching []ethtypes.Address) bool {
-	for _, sp := range splits {
-		if r.isOpOrAff(sp.Operator) || r.isOpOrAff(sp.Affiliate) || r.isOpOrAff(sp.Payer) {
-			return true
-		}
-		if r.ds.IsDaaSAccount(sp.Operator) || r.ds.IsDaaSAccount(sp.Affiliate) {
-			for _, p := range touching {
-				if r.isOpOrAff(p) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// absorbLocked mirrors the batch pipeline's absorbContract: classify
-// the contract's history up to block b, record its own splits, and
-// register payout accounts. History beyond b is left for live arrival,
-// which keeps restore points consistent with their block boundary.
-func (r *Radar) absorbLocked(addr ethtypes.Address, found core.Discovery, b uint64) error {
-	if _, known := r.ds.Contracts[addr]; known {
-		return nil
-	}
-	hashes, err := r.cfg.Source.TransactionsOf(addr)
-	if err != nil {
-		return err
-	}
-	var crec *core.ContractRecord
-	var quarantined int64
-	for _, h := range hashes {
-		if r.classified[h] {
-			continue
-		}
-		tx, rec, err := r.fetchPair(h)
-		if err != nil {
-			return err
-		}
-		if tx == nil {
-			quarantined++
-			if _, ok := r.pending[h]; !ok {
-				r.pending[h] = &pendingTx{block: b}
-			}
-			continue
-		}
-		if rec.BlockNumber > b {
-			continue
-		}
-		splits := r.cfg.Classifier.Classify(tx, rec)
-		var own []core.Split
-		for _, sp := range splits {
-			if sp.Contract == addr {
-				own = append(own, sp)
-			}
-		}
-		if len(own) == 0 {
-			continue
-		}
-		if crec == nil {
-			crec = &core.ContractRecord{Address: addr, Found: found, FirstSeen: rec.Timestamp, LastSeen: rec.Timestamp}
-			r.ds.Contracts[addr] = crec
-			if found == core.DiscoverySeed {
-				for _, l := range r.cfg.Labels.Of(addr) {
-					crec.Sources = append(crec.Sources, string(l.Source))
-				}
-			}
-			r.emitLocked(Update{Kind: KindContract, Block: b, Address: addr.Hex(), Discovery: string(found)})
-		}
-		if rec.Timestamp.Before(crec.FirstSeen) {
-			crec.FirstSeen = rec.Timestamp
-		}
-		if rec.Timestamp.After(crec.LastSeen) {
-			crec.LastSeen = rec.Timestamp
-		}
-		crec.TxCount++
-		r.classified[h] = true
-		r.dirty = true
-		if err := r.recordSplitsLocked(own, found, b); err != nil {
-			return err
-		}
-	}
-	if quarantined > 0 && r.cfg.Coverage != nil {
-		r.cfg.Coverage.NoteQuarantined(addr, quarantined)
+	r.emitLocked(Update{Kind: string(role), Block: b, Address: a.Hex(), Discovery: string(found)})
+	if role == core.RoleOperator {
+		return r.admitOperatorLocked(a, b)
 	}
 	return nil
-}
-
-// recordSplitsLocked mirrors the batch recordSplits, and additionally
-// starts the incremental cluster feed for newly admitted operators.
-func (r *Radar) recordSplitsLocked(splits []core.Split, found core.Discovery, b uint64) error {
-	for _, sp := range splits {
-		r.ds.Splits[sp.TxHash] = append(r.ds.Splits[sp.TxHash], sp)
-		if r.touchLocked(r.ds.Operators, sp.Operator, sp.Time, found) {
-			r.emitLocked(Update{Kind: KindOperator, Block: b, Address: sp.Operator.Hex(), Discovery: string(found)})
-			if err := r.admitOperatorLocked(sp.Operator, b); err != nil {
-				return err
-			}
-		}
-		if r.touchLocked(r.ds.Affiliates, sp.Affiliate, sp.Time, found) {
-			r.emitLocked(Update{Kind: KindAffiliate, Block: b, Address: sp.Affiliate.Hex(), Discovery: string(found)})
-		}
-	}
-	return nil
-}
-
-// touchLocked is the radar's version of the batch touchAccount with
-// one extra rule: a later seed-phase touch upgrades an
-// expansion-discovered account. The batch runs its entire seed phase
-// first, so any account party to a seed-contract split carries the
-// seed tag there; in arrival order the expansion touch can come first,
-// and the upgrade restores the batch's final tag. Downgrades never
-// happen.
-func (r *Radar) touchLocked(m map[ethtypes.Address]*core.AccountRecord,
-	a ethtypes.Address, t time.Time, found core.Discovery) bool {
-
-	rec, ok := m[a]
-	if !ok {
-		m[a] = &core.AccountRecord{Address: a, Found: found, FirstSeen: t, LastSeen: t}
-		return true
-	}
-	if found == core.DiscoverySeed && rec.Found == core.DiscoveryExpansion {
-		rec.Found = core.DiscoverySeed
-	}
-	if t.Before(rec.FirstSeen) {
-		rec.FirstSeen = t
-	}
-	if t.After(rec.LastSeen) {
-		rec.LastSeen = t
-	}
-	return false
 }
 
 // admitOperatorLocked registers a new operator with the incremental
@@ -758,7 +557,7 @@ func (r *Radar) admitOperatorLocked(op ethtypes.Address, b uint64) error {
 		return err
 	}
 	for _, h := range hashes {
-		tx, rec, err := r.fetchPair(h)
+		tx, rec, err := r.adm.FetchOne(context.TODO(), h)
 		if err != nil {
 			return err
 		}
@@ -777,7 +576,7 @@ func (r *Radar) admitOperatorLocked(op ethtypes.Address, b uint64) error {
 // feedMembersLocked forwards one transaction to the clusterer for
 // every member operator it touches; double feeds are idempotent.
 func (r *Radar) feedMembersLocked(tx *chain.Transaction, rec *chain.Receipt) {
-	for _, p := range touchingParties(tx, rec) {
+	for _, p := range chain.TouchedAccounts(tx, rec) {
 		if r.inc.Contains(p) {
 			r.inc.ObserveTx(p, tx)
 		}
@@ -796,12 +595,12 @@ func (r *Radar) retryPendingLocked(b uint64) error {
 			if !ok {
 				continue
 			}
-			if r.classified[h] {
+			if r.adm.Classified[h] {
 				delete(r.pending, h)
 				continue
 			}
 			if pt.splits == nil {
-				tx, rec, err := r.fetchPair(h)
+				tx, rec, err := r.adm.FetchOne(context.TODO(), h)
 				if err != nil {
 					return err
 				}
@@ -812,43 +611,18 @@ func (r *Radar) retryPendingLocked(b uint64) error {
 					continue // future block: will arrive live
 				}
 				r.feedMembersLocked(tx, rec)
-				splits := r.cfg.Classifier.Classify(tx, rec)
+				splits := r.adm.Classify(tx, rec)
 				if len(splits) == 0 {
 					delete(r.pending, h)
 					continue
 				}
-				pt.splits = splits
-				pt.time = rec.Timestamp
-				pt.touching = touchingParties(tx, rec)
-				pt.block = rec.BlockNumber
+				*pt = pendingTx{block: rec.BlockNumber, splits: splits, touching: chain.TouchedAccounts(tx, rec)}
 			}
-			contract := pt.splits[0].Contract
-			if crec, known := r.ds.Contracts[contract]; known {
-				if err := r.liveRecordLocked(crec, h, pt.time, pt.splits, b); err != nil {
-					return err
-				}
-				delete(r.pending, h)
-				changed = true
-				continue
+			admitted, err := r.admitLocked(h, pt, b)
+			if err != nil {
+				return err
 			}
-			if r.phishing[contract] {
-				isC, err := r.cfg.Source.IsContract(contract)
-				if err != nil {
-					return err
-				}
-				if isC {
-					if err := r.absorbLocked(contract, core.DiscoverySeed, b); err != nil {
-						return err
-					}
-					delete(r.pending, h)
-					changed = true
-					continue
-				}
-			}
-			if r.gateLocked(pt.splits, pt.touching) {
-				if err := r.absorbLocked(contract, core.DiscoveryExpansion, b); err != nil {
-					return err
-				}
+			if admitted {
 				delete(r.pending, h)
 				changed = true
 			}
@@ -880,42 +654,45 @@ func (r *Radar) sortedPendingLocked() []ethtypes.Hash {
 // (and split transactions of seed contracts) reproduces it exactly.
 func (r *Radar) recomputeSeedStatsLocked() {
 	var ss core.Stats
-	for _, c := range r.ds.Contracts {
+	for _, c := range r.adm.DS.Contracts {
 		if c.Found == core.DiscoverySeed {
 			ss.Contracts++
 		}
 	}
-	for _, a := range r.ds.Operators {
+	for _, a := range r.adm.DS.Operators {
 		if a.Found == core.DiscoverySeed {
 			ss.Operators++
 		}
 	}
-	for _, a := range r.ds.Affiliates {
+	for _, a := range r.adm.DS.Affiliates {
 		if a.Found == core.DiscoverySeed {
 			ss.Affiliates++
 		}
 	}
-	for _, sps := range r.ds.Splits {
+	for _, sps := range r.adm.DS.Splits {
 		if len(sps) == 0 {
 			continue
 		}
-		if c := r.ds.Contracts[sps[0].Contract]; c != nil && c.Found == core.DiscoverySeed {
+		if c := r.adm.DS.Contracts[sps[0].Contract]; c != nil && c.Found == core.DiscoverySeed {
 			ss.ProfitTxs++
 		}
 	}
-	r.ds.SeedStats = ss
+	r.adm.DS.SeedStats = ss
+}
+
+// finishDatasetLocked brings the dataset's derived parts up to date
+// for export: seed statistics and, when configured, fingerprints.
+func (r *Radar) finishDatasetLocked() error {
+	r.recomputeSeedStatsLocked()
+	if r.cfg.Static == nil {
+		return nil
+	}
+	return r.adm.DS.AnnotateFingerprints(r.cfg.Static)
 }
 
 func (r *Radar) degradedLocked() map[ethtypes.Address]bool {
-	if r.cfg.Coverage == nil {
-		return nil
-	}
-	stats := r.cfg.Coverage.Stats()
-	if len(stats.Degraded) == 0 {
-		return nil
-	}
-	out := make(map[ethtypes.Address]bool, len(stats.Degraded))
-	for a := range stats.Degraded {
+	out := make(map[ethtypes.Address]bool)
+	for a := range r.cfg.Coverage.Stats().Degraded {
 		out[a] = true
 	}
 	return out
@@ -925,13 +702,10 @@ func (r *Radar) degradedLocked() map[ethtypes.Address]bool {
 // compiles a fresh screening snapshot, and hot-swaps it into the
 // engine. Family membership changes are emitted to the update feed.
 func (r *Radar) recompileLocked() error {
-	r.recomputeSeedStatsLocked()
-	if r.cfg.Static != nil {
-		if err := r.ds.AnnotateFingerprints(r.cfg.Static); err != nil {
-			return err
-		}
+	if err := r.finishDatasetLocked(); err != nil {
+		return err
 	}
-	fams := r.inc.Families(r.ds, r.degradedLocked())
+	fams := r.inc.Families(r.adm.DS, r.degradedLocked())
 	r.familyCount = len(fams)
 	r.m.familiesG.Set(int64(len(fams)))
 	for _, fam := range fams {
@@ -943,7 +717,7 @@ func (r *Radar) recompileLocked() error {
 		}
 	}
 	if r.cfg.Engine != nil {
-		r.cfg.Engine.Swap(screen.Compile(r.ds, fams, r.cfg.Domains))
+		r.cfg.Engine.Swap(screen.Compile(r.adm.DS, fams, r.cfg.Domains))
 		r.swaps++
 		r.m.swapsC.Inc()
 		r.emitLocked(Update{Kind: KindSwap, Block: r.cursor})
@@ -956,7 +730,7 @@ func (r *Radar) recompileLocked() error {
 func (r *Radar) Families() []*cluster.Family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inc.Families(r.ds, r.degradedLocked())
+	return r.inc.Families(r.adm.DS, r.degradedLocked())
 }
 
 // ExportJSON writes the dataset in exactly the one-shot pipeline's
@@ -964,11 +738,8 @@ func (r *Radar) Families() []*cluster.Family {
 func (r *Radar) ExportJSON(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recomputeSeedStatsLocked()
-	if r.cfg.Static != nil {
-		if err := r.ds.AnnotateFingerprints(r.cfg.Static); err != nil {
-			return err
-		}
+	if err := r.finishDatasetLocked(); err != nil {
+		return err
 	}
-	return r.ds.WriteJSON(w)
+	return r.adm.DS.WriteJSON(w)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
@@ -117,6 +118,91 @@ func TestRadarMatchesBatchPipeline(t *testing.T) {
 			t.Fatalf("stepEvery=%d: radar admitted nothing (stats %+v)", stepEvery, st.Stats)
 		}
 	}
+
+	// A world with more operators than families: its batch clustering
+	// merges through both §7.1 edge kinds, so the family half of the
+	// gate sees unions, not only singletons.
+	cfg := worldgen.TestConfig(7)
+	for i := range cfg.Families {
+		cfg.Families[i].Operators = 400
+	}
+	merging, err := worldgen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDS, wantFams = batchExport(t, merging)
+	assertBothEdgeKindsMerge(t, merging)
+	rng := rand.New(rand.NewSource(1))
+	for _, sched := range []struct {
+		name string
+		gap  func() int
+	}{
+		{"every block", func() int { return 1 }},
+		{"every 7 blocks", func() int { return 7 }},
+		{"one step", func() int { return 1 << 30 }},
+		{"random 1-9", func() int { return 1 + rng.Intn(9) }},
+	} {
+		gotDS, gotFams := replayInSteps(t, merging, sched.gap)
+		if !bytes.Equal(gotDS, wantDS) {
+			t.Fatalf("merging world, %s: radar dataset export differs from batch pipeline", sched.name)
+		}
+		if !bytes.Equal(gotFams, wantFams) {
+			t.Fatalf("merging world, %s: radar family export differs from batch clusterer", sched.name)
+		}
+	}
+}
+
+// assertBothEdgeKindsMerge fails the test unless the batch clusterer
+// performs at least one direct and one shared-counterparty union on
+// world.
+func assertBothEdgeKindsMerge(t *testing.T, world *worldgen.World) {
+	t.Helper()
+	src := core.LocalSource{Chain: world.Chain}
+	ds, err := (&core.Pipeline{Source: src, Labels: world.Labels}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := (&cluster.Clusterer{Source: src, Labels: world.Labels, Metrics: reg}).Cluster(ds); err != nil {
+		t.Fatal(err)
+	}
+	merges := reg.CounterVec("daas_cluster_union_merges_total", "", "edge")
+	for _, edge := range []string{"direct", "shared_counterparty"} {
+		if merges.With(edge).Value() == 0 {
+			t.Fatalf("batch clustering made no %s merge; the family gate would be vacuous", edge)
+		}
+	}
+}
+
+// replayInSteps replays world's chain through a fresh radar, calling
+// Step after each run of gap() blocks, and returns the final exports.
+func replayInSteps(t *testing.T, world *worldgen.World, gap func() int) (dsBytes, famBytes []byte) {
+	t.Helper()
+	f := chain.NewFollower(world.Chain)
+	dst := f.Chain()
+	r, err := radar.New(radar.Config{
+		Source: core.LocalSource{Chain: dst},
+		Blocks: radar.ChainBlocks{Chain: dst},
+		Labels: world.Labels,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for next := gap(); ; {
+		if _, ok := f.Advance(); !ok {
+			break
+		}
+		if next--; next == 0 {
+			if _, err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+			next = gap()
+		}
+	}
+	if _, err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	return radarExport(t, r)
 }
 
 // TestRadarStaticAnnotationMatchesBatch repeats the byte-identity

@@ -41,8 +41,11 @@ type ringJSON struct {
 	Hash   string `json:"hash"`
 }
 
-// buildCheckpointLocked assembles the daemon's full persisted state.
-func (r *Radar) buildCheckpointLocked() (*core.RadarCheckpoint, error) {
+// marshalStateLocked serializes the daemon's full persisted state to
+// checkpoint bytes — used both for the on-disk checkpoint and for
+// in-memory restore points (serialization doubles as a deep copy: the
+// dataset inside a restore point must not alias the live maps).
+func (r *Radar) marshalStateLocked() ([]byte, error) {
 	r.recomputeSeedStatsLocked()
 	cblob, err := r.inc.Snapshot()
 	if err != nil {
@@ -64,24 +67,12 @@ func (r *Radar) buildCheckpointLocked() (*core.RadarCheckpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("radar: serializing state extension: %w", err)
 	}
-	return &core.RadarCheckpoint{
-		Dataset:    r.ds,
-		Classified: r.classified,
+	return core.MarshalRadarCheckpoint(&core.RadarCheckpoint{
+		Dataset:    r.adm.DS,
+		Classified: r.adm.Classified,
 		Head:       r.cursor,
 		Radar:      blob,
-	}, nil
-}
-
-// marshalStateLocked serializes the full state to checkpoint bytes —
-// used both for the on-disk checkpoint and for in-memory restore
-// points (serialization doubles as a deep copy: the dataset inside a
-// restore point must not alias the live maps).
-func (r *Radar) marshalStateLocked() ([]byte, error) {
-	cp, err := r.buildCheckpointLocked()
-	if err != nil {
-		return nil, err
-	}
-	return core.MarshalRadarCheckpoint(cp)
+	})
 }
 
 // restoreBlobLocked reinstates a serialized state. keepCounters
@@ -133,8 +124,8 @@ func (r *Radar) applyCheckpointLocked(cp *core.RadarCheckpoint, keepCounters boo
 		ring = append(ring, ringEntry{Number: e.Number, Hash: h})
 	}
 
-	r.ds = cp.Dataset
-	r.classified = cp.Classified
+	r.adm.DS = cp.Dataset
+	r.adm.Classified = cp.Classified
 	r.cursor = cp.Head
 	r.inc = inc
 	r.pending = pending

@@ -6,9 +6,9 @@ import "repro/internal/core"
 // admissions, family membership changes, then the control-plane events
 // (reorg rollbacks and snapshot swaps).
 const (
-	KindContract       = "contract"
-	KindOperator       = "operator"
-	KindAffiliate      = "affiliate"
+	KindContract       = string(core.RoleContract)
+	KindOperator       = string(core.RoleOperator)
+	KindAffiliate      = string(core.RoleAffiliate)
 	KindFamilyContract = "family_contract"
 	KindReorg          = "reorg"
 	KindSwap           = "swap"
@@ -95,8 +95,8 @@ func (r *Radar) Status() Status {
 	return Status{
 		Head:         r.lastHead,
 		Cursor:       r.cursor,
-		Stats:        r.ds.Stats(),
-		SeedStats:    r.ds.SeedStats,
+		Stats:        r.adm.DS.Stats(),
+		SeedStats:    r.adm.DS.SeedStats,
 		Families:     r.familyCount,
 		Pending:      len(r.pending),
 		Reorgs:       r.reorgs,

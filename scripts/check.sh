@@ -37,6 +37,9 @@ go test -race -count=1 -run 'TestRadarSoakConcurrent|TestRadarReorgRollback|Test
 echo "==> radar stream: dataset shape deterministic under concurrent screening load"
 go test -count=1 -run 'TestRadarStreamDeterministic' ./internal/loadgen/
 
+echo "==> perfbench module tests: metric lists, traced-vs-untraced radar and study exports"
+(cd perfbench && GOPROXY=off GOFLAGS= GOWORK=off go test -count=1 ./...)
+
 echo "==> benchdiff self-test: the gate demonstrably fails on an injected slowdown"
 go test -count=1 ./cmd/benchdiff/
 
