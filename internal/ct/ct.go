@@ -15,6 +15,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/big"
 	"net/http"
 	"strconv"
@@ -348,9 +349,22 @@ func (c *Client) getOnce(path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("ct: GET %s: %w", path, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("ct: GET %s: %w", path, &retry.HTTPError{Status: resp.StatusCode})
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// maxDrain bounds how much of an unread response body drainClose
+// discards to keep its connection.
+const maxDrain = 64 << 10
+
+// drainClose reads a response body to EOF before closing it: the
+// decoder stops at the end of the JSON value, and a body closed before
+// its chunked terminator makes the transport drop the keep-alive
+// connection, so every poll would dial again.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxDrain)
+	body.Close()
 }

@@ -2,9 +2,11 @@ package ct
 
 import (
 	"encoding/base64"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -255,5 +257,41 @@ func TestMetricsAssignedAfterFirstPoll(t *testing.T) {
 	}
 	if n := reg.Counter("daas_ct_entries_total", "").Value(); n != 1 {
 		t.Errorf("entries_total = %d, want 1", n)
+	}
+}
+
+// TestPollReusesConnection: polling a log whose get-entries pages are
+// large enough to be sent chunked stays on one keep-alive connection.
+func TestPollReusesConnection(t *testing.T) {
+	log, _ := NewLog()
+	issueN(t, log, 1000)
+	srv := httptest.NewUnstartedServer(log.Handler())
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	client := NewClient(srv.URL)
+	polls, total := 0, 0
+	for {
+		entries, err := client.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls++
+		if len(entries) == 0 {
+			break
+		}
+		total += len(entries)
+	}
+	if total != 1000 {
+		t.Fatalf("polled %d entries, want 1000", total)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("%d polls opened %d connections, want 1", polls, n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/big"
 	"net/http"
 	"strings"
@@ -107,14 +108,16 @@ func (c *Client) callContext(ctx context.Context, method string, params any, res
 		return err
 	}
 	return c.Retry.Do(ctx, method, func() error {
-		return c.callOnce(ctx, method, body, result)
+		return c.callOnce(ctx, method, body, func(r io.Reader) error {
+			return decodeResponse(method, r, result)
+		})
 	})
 }
 
-// callOnce performs one wire attempt; each attempt is instrumented
-// separately so daas_rpc_requests_total counts what actually hit the
-// server.
-func (c *Client) callOnce(ctx context.Context, method string, body []byte, result any) (err error) {
+// callOnce performs one wire attempt and hands the response body to
+// decode; each attempt is instrumented separately so
+// daas_rpc_requests_total counts what actually hit the server.
+func (c *Client) callOnce(ctx context.Context, method string, body []byte, decode func(io.Reader) error) (err error) {
 	cm := c.metrics()
 	cm.requests.With(method).Inc()
 	start := time.Now()
@@ -128,9 +131,15 @@ func (c *Client) callOnce(ctx context.Context, method string, body []byte, resul
 	if err != nil {
 		return fmt.Errorf("rpc: %s: %w", method, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
+	return decode(resp.Body)
+}
+
+// decodeResponse decodes one response envelope from r and its result
+// into result (nil discards it).
+func decodeResponse(method string, r io.Reader, result any) error {
 	var out response
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.NewDecoder(r).Decode(&out); err != nil {
 		return fmt.Errorf("rpc: %s: decoding response: %w", method, err)
 	}
 	if out.Error != nil {
@@ -140,6 +149,19 @@ func (c *Client) callOnce(ctx context.Context, method string, body []byte, resul
 		return nil
 	}
 	return json.Unmarshal(out.Result, result)
+}
+
+// maxDrain bounds how much of an unread response body drainClose
+// discards to keep its connection.
+const maxDrain = 64 << 10
+
+// drainClose reads a response body to EOF before closing it. A body
+// closed early (json.Decoder stops at the end of the value, before a
+// chunked body's terminator) makes the transport drop the keep-alive
+// connection, so the next call would dial again.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxDrain)
+	body.Close()
 }
 
 // post sends one request body and returns the HTTP response body
@@ -161,7 +183,7 @@ func (c *Client) post(ctx context.Context, body []byte) (*http.Response, error) 
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
+		drainClose(resp.Body)
 		return nil, &retry.HTTPError{Status: resp.StatusCode}
 	}
 	return resp, nil
@@ -211,7 +233,7 @@ func (c *Client) batchOnce(method string, n int, baseID int64, body []byte, deco
 	if err != nil {
 		return fmt.Errorf("rpc: %s batch of %d: %w", method, n, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	var outs []response
 	if err := json.NewDecoder(resp.Body).Decode(&outs); err != nil {
 		// A parse/invalid-request failure comes back as a single error
@@ -500,28 +522,26 @@ func (c *Client) ScreenBatch(addrs []ethtypes.Address) ([]ScreenResult, error) {
 	return out, nil
 }
 
-// screenBatchOne issues one daas_screenBatch request.
-func (c *Client) screenBatchOne(addrs []ethtypes.Address) ([]ScreenResult, error) {
-	params := make([]string, len(addrs))
-	for i, a := range addrs {
-		params[i] = a.Hex()
-	}
-	var raw []screenResultJSON
-	if err := c.call("daas_screenBatch", params, &raw); err != nil {
-		return nil, err
-	}
-	if len(raw) != len(addrs) {
-		return nil, fmt.Errorf("rpc: daas_screenBatch: %d results for %d addresses", len(raw), len(addrs))
-	}
-	out := make([]ScreenResult, len(raw))
-	for i, rj := range raw {
-		r, err := fromScreenResultJSON(rj)
-		if err != nil {
-			return nil, fmt.Errorf("rpc: daas_screenBatch item %d: %w", i, err)
-		}
-		out[i] = r
-	}
-	return out, nil
+// screenBatchOne issues one daas_screenBatch request through the codec
+// in codec.go. The request body is not pooled: the transport may still
+// read it after Do returns.
+func (c *Client) screenBatchOne(addrs []ethtypes.Address) (out []ScreenResult, err error) {
+	const method = "daas_screenBatch"
+	ctx := context.Background()
+	body := appendScreenBatchRequest(c.nextID.Add(1), addrs)
+	err = c.Retry.Do(ctx, method, func() error {
+		return c.callOnce(ctx, method, body, func(r io.Reader) error {
+			buf := getBuf()
+			defer putBuf(buf)
+			var err error
+			if *buf, err = readAll(r, *buf); err != nil {
+				return fmt.Errorf("rpc: %s: decoding response: %w", method, err)
+			}
+			out, err = decodeScreenBatch(*buf, len(addrs))
+			return err
+		})
+	})
+	return out, err
 }
 
 // ScreenDomain asks the screening service whether a website domain is

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -164,7 +163,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	body, err := readBody(w, r, s.Limits.maxBodyBytes())
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := readBody(w, r, s.Limits.maxBodyBytes(), *buf)
+	*buf = body
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -177,6 +179,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.writeResponse(w, response{JSONRPC: "2.0", Error: &rpcError{Code: codeParse, Message: err.Error()}})
 		return
 	}
+	if !s.serveScreenBatch(ctx, w, body) {
+		s.serveBody(ctx, w, body)
+	}
+}
+
+// serveBody answers one request body through encoding/json: a single
+// envelope or a JSON array batch.
+func (s *Server) serveBody(ctx context.Context, w http.ResponseWriter, body []byte) {
 	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
 		s.serveBatch(ctx, w, trimmed)
 		return
@@ -189,15 +199,60 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.writeResponse(w, s.handle(ctx, req))
 }
 
+// serveScreenBatch answers a daas_screenBatch body the codec
+// recognises (see codec.go) without encoding/json, and reports false,
+// having written nothing, for any other body.
+func (s *Server) serveScreenBatch(ctx context.Context, w http.ResponseWriter, body []byte) bool {
+	if s.Screen == nil {
+		return false
+	}
+	ap := addrPool.Get().(*[]ethtypes.Address)
+	defer addrPool.Put(ap)
+	id, addrs, ok := scanScreenBatchRequest(body, (*ap)[:0])
+	*ap = addrs
+	if !ok {
+		return false
+	}
+	rb := getBuf()
+	defer putBuf(rb)
+	s.writeResponse(w, s.handleWith(ctx, id, "daas_screenBatch", func() (json.RawMessage, *rpcError) {
+		var rpcErr *rpcError
+		*rb, rpcErr = s.appendScreenBatch(ctx, *rb, addrs)
+		if rpcErr != nil {
+			return nil, rpcErr
+		}
+		return *rb, nil
+	}))
+	return true
+}
+
+// appendScreenBatch appends the daas_screenBatch result for addrs: the
+// verdict array json.Marshal would write for dispatchScreen's result.
+func (s *Server) appendScreenBatch(ctx context.Context, buf []byte, addrs []ethtypes.Address) ([]byte, *rpcError) {
+	age := s.snapshotAge()
+	buf = append(buf, '[')
+	for i, a := range addrs {
+		if i%screenCtxStride == 0 && ctx.Err() != nil {
+			return buf, deadlineError()
+		}
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		rec, listed := s.Screen.Screen(a)
+		buf = appendVerdict(buf, a, rec, listed, age)
+	}
+	return append(buf, ']'), nil
+}
+
 // readBody drains one request body under the configured cap (0 = no
-// cap). The MaxBytesReader also arms the server to close the
+// cap) into buf. The MaxBytesReader also arms the server to close the
 // connection when the cap trips, so an attacker cannot keep streaming.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, error) {
 	body := r.Body
 	if limit > 0 {
 		body = http.MaxBytesReader(w, body, limit)
 	}
-	return io.ReadAll(body)
+	return readAll(body, buf)
 }
 
 // serveBatch answers one JSON array of requests. Per the spec, a batch
@@ -222,14 +277,17 @@ func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, body []b
 		}})
 		return
 	}
-	out := make([]response, len(reqs))
+	buf := getBuf()
+	defer putBuf(buf)
+	b := append(*buf, '[')
 	for i, req := range reqs {
-		out[i] = s.handle(ctx, req)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendResponse(b, s.handle(ctx, req))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		s.metrics().writeErrors.Inc()
-	}
+	*buf = append(b, ']', '\n')
+	s.write(w, http.StatusOK, *buf)
 }
 
 // handle dispatches one request into one response envelope. Every
@@ -238,38 +296,45 @@ func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, body []b
 // items individually. A panicking handler yields codeInternal for that
 // element only, and an expired context yields CodeTimeout without
 // dispatching.
-func (s *Server) handle(ctx context.Context, req request) (resp response) {
+func (s *Server) handle(ctx context.Context, req request) response {
+	return s.handleWith(ctx, req.ID, req.Method, func() (json.RawMessage, *rpcError) {
+		result, rpcErr := s.dispatch(ctx, req.Method, req.Params)
+		if rpcErr != nil {
+			return nil, rpcErr
+		}
+		raw, err := json.Marshal(result)
+		if err != nil {
+			return nil, &rpcError{Code: codeInternal, Message: err.Error()}
+		}
+		return raw, nil
+	})
+}
+
+// handleWith is handle with the dispatch step supplied by the caller:
+// answer produces the result bytes (compact and HTML-escaped, as
+// json.Marshal writes them) or the error.
+func (s *Server) handleWith(ctx context.Context, id int64, method string, answer func() (json.RawMessage, *rpcError)) (resp response) {
 	sm := s.metrics()
-	method := metricMethod(req.Method)
-	sm.requests.With(method).Inc()
+	label := metricMethod(method)
+	sm.requests.With(label).Inc()
 	start := time.Now()
-	resp = response{JSONRPC: "2.0", ID: req.ID}
+	resp = response{JSONRPC: "2.0", ID: id}
 	defer func() {
 		if rec := recover(); rec != nil {
 			sm.panics.Inc()
 			resp.Result = nil
 			resp.Error = &rpcError{Code: codeInternal, Message: fmt.Sprintf("internal error: %v", rec)}
 		}
-		sm.latency.With(method).ObserveDuration(time.Since(start))
+		sm.latency.With(label).ObserveDuration(time.Since(start))
 		if resp.Error != nil {
-			sm.errors.With(method).Inc()
+			sm.errors.With(label).Inc()
 		}
 	}()
 	if ctx.Err() != nil {
 		resp.Error = deadlineError()
 		return resp
 	}
-	result, rpcErr := s.dispatch(ctx, req.Method, req.Params)
-	if rpcErr != nil {
-		resp.Error = rpcErr
-	} else {
-		raw, err := json.Marshal(result)
-		if err != nil {
-			resp.Error = &rpcError{Code: codeInternal, Message: err.Error()}
-		} else {
-			resp.Result = raw
-		}
-	}
+	resp.Result, resp.Error = answer()
 	return resp
 }
 
@@ -277,15 +342,24 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
 	s.writeStatusResponse(w, http.StatusOK, resp)
 }
 
-// writeStatusResponse writes one envelope with the given HTTP status,
-// counting clients that vanished mid-write instead of dropping the
-// error on the floor.
+// writeStatusResponse writes one envelope, as json.Encoder would, with
+// the given HTTP status.
 func (s *Server) writeStatusResponse(w http.ResponseWriter, status int, resp response) {
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = append(appendResponse(*buf, resp), '\n')
+	s.write(w, status, *buf)
+}
+
+// write sends one JSON body with the given HTTP status, counting
+// clients that vanished mid-write instead of dropping the error on the
+// floor.
+func (s *Server) write(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	if status != http.StatusOK {
 		w.WriteHeader(status)
 	}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.metrics().writeErrors.Inc()
 	}
 }

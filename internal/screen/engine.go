@@ -81,8 +81,12 @@ func (e *Engine) Swap(s *Snapshot) {
 // swap was needed. Degraded-mode staleness (Age, the
 // daas_screen_stale_seconds gauge, the snapshotAge response field) is
 // measured from the last MarkFresh or Swap.
-func (e *Engine) MarkFresh() {
-	e.freshAtNanos.Store(obs.Now().UnixNano())
+func (e *Engine) MarkFresh() { e.MarkFreshAt(obs.Now()) }
+
+// MarkFreshAt is MarkFresh with an explicit confirmation time, so a
+// test can pin the snapshot age a verdict carries.
+func (e *Engine) MarkFreshAt(t time.Time) {
+	e.freshAtNanos.Store(t.UnixNano())
 	e.stale.Set(0)
 }
 

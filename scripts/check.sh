@@ -76,6 +76,9 @@ go test -race -count=1 -run 'TestBodyCap|TestBatchCap|TestOverloadShed|TestReque
 echo "==> rpc fuzz smoke: hardened ServeHTTP is total over the malformed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzServeHTTP' -fuzztime 10s ./internal/rpc/
 
+echo "==> rpc codec fuzz smoke: the daas_screenBatch codec matches encoding/json byte for byte over the seed corpus + 10s of new inputs"
+go test -count=1 -run=NONE -fuzz 'FuzzScreenBatchCodec' -fuzztime 10s ./internal/rpc/
+
 echo "==> chaos soak: race-checked hardened server under hostile traffic with a mid-run upstream outage"
 go test -race -count=1 -run 'TestChaosSoak' ./internal/loadgen/
 
