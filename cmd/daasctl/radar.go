@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/daas"
 	"repro/internal/core"
 	"repro/internal/integrity"
 	"repro/internal/labels"
@@ -75,11 +76,6 @@ func runRadar(reg *obs.Registry, opts radarOptions) error {
 			opts.Seed, opts.Scale, world.Chain.BlockCount())
 	}
 
-	// The integrity layer pins every record the radar admits; on a
-	// reorg the daemon releases the pins above the fork, so rolled-back
-	// evidence cannot linger in the cache or quarantine ledger.
-	src := integrity.Wrap(base, integrity.NewQuarantine(reg), reg)
-
 	var confirmed []string
 	if opts.DomainsPath != "" {
 		var err error
@@ -93,20 +89,7 @@ func runRadar(reg *obs.Registry, opts radarOptions) error {
 		level = obs.LevelDebug
 	}
 	eng := screen.NewEngine(reg)
-	r, err := radar.New(radar.Config{
-		Source:         src,
-		Blocks:         blocks,
-		Labels:         lbls,
-		Engine:         eng,
-		Domains:        confirmed,
-		PollInterval:   opts.Poll,
-		ReorgWindow:    opts.ReorgWindow,
-		CheckpointPath: opts.Checkpoint,
-		Resume:         opts.Resume,
-		Pins:           src,
-		Metrics:        reg,
-		Logger:         obs.New(os.Stderr, level),
-	})
+	r, _, err := newDaemonRadar(reg, base, blocks, lbls, eng, confirmed, opts, obs.New(os.Stderr, level))
 	if err != nil {
 		return err
 	}
@@ -145,4 +128,31 @@ func runRadar(reg *obs.Registry, opts radarOptions) error {
 			fin.Cursor, fin.Stats.Contracts, fin.Families, fin.Swaps, fin.Reorgs)
 	}()
 	return rpc.GracefulServe(serveCtx, srv, 5*time.Second)
+}
+
+// newDaemonRadar assembles the daemon's radar over base. Its source
+// stack is metrics → integrity (daas.NewStack's uncached top): no
+// fetch cache, because a cached receipt would outlive a reorg, and no
+// source-level retry, because rpc.Client.Retry already retries. The
+// integrity layer pins every record the radar admits; on a reorg the
+// radar releases the pins above the fork through the returned handle,
+// so rolled-back evidence cannot linger in the quarantine ledger.
+func newDaemonRadar(reg *obs.Registry, base core.ChainSource, blocks radar.BlockSource, lbls *labels.Directory,
+	eng *screen.Engine, confirmed []string, opts radarOptions, logger *obs.Logger) (*radar.Radar, *integrity.Source, error) {
+	src := daas.NewStack(base, daas.StackConfig{Metrics: reg}).Checked
+	r, err := radar.New(radar.Config{
+		Source:         src,
+		Blocks:         blocks,
+		Labels:         lbls,
+		Engine:         eng,
+		Domains:        confirmed,
+		PollInterval:   opts.Poll,
+		ReorgWindow:    opts.ReorgWindow,
+		CheckpointPath: opts.Checkpoint,
+		Resume:         opts.Resume,
+		Pins:           src,
+		Metrics:        reg,
+		Logger:         logger,
+	})
+	return r, src, err
 }

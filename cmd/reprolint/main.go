@@ -27,6 +27,11 @@
 //     nondeterminism into exported datasets and reports. Latency
 //     instrumentation routes through obs.Now/obs.Since instead, which
 //     keeps the clock visibly observability-only.
+//   - only internal/core may type-assert or type-switch on the optional
+//     ChainSource extensions (core.ContextSource, BatchSource,
+//     CodeSource, StorageSource): everything else reads through a
+//     core.Layer stack, whose leaf adapter (core.NewLeaf) is the one
+//     place that probes a source's capabilities.
 //
 // Usage: go run ./cmd/reprolint ./...
 //
@@ -178,6 +183,7 @@ func lintPackage(p *listedPackage, imp types.Importer) ([]string, error) {
 		banProgress:    strings.HasPrefix(rel, "internal/") && rel != "internal/obs",
 		banDirectFetch: rel == "internal/core",
 		banClock:       deterministicPackages[rel],
+		banProbe:       rel != "internal/core",
 	}
 	for _, f := range files {
 		ast.Inspect(f, l.inspect)
@@ -211,6 +217,7 @@ type linter struct {
 	banProgress    bool
 	banDirectFetch bool
 	banClock       bool
+	banProbe       bool
 	findings       []string
 }
 
@@ -219,6 +226,24 @@ func (l *linter) reportf(pos token.Pos, format string, args ...any) {
 }
 
 func (l *linter) inspect(n ast.Node) bool {
+	// Rule 7: capability probes on a ChainSource belong to
+	// internal/core. A type switch's clauses name the asserted types;
+	// its x.(type) guard carries none.
+	if l.banProbe {
+		switch n := n.(type) {
+		case *ast.TypeAssertExpr:
+			if n.Type != nil {
+				l.checkProbe(n.Type)
+			}
+		case *ast.TypeSwitchStmt:
+			for _, clause := range n.Body.List {
+				for _, typ := range clause.(*ast.CaseClause).List {
+					l.checkProbe(typ)
+				}
+			}
+		}
+	}
+
 	call, ok := n.(*ast.CallExpr)
 	if !ok {
 		return true
@@ -313,13 +338,32 @@ func (l *linter) checkDirectFetch(call *ast.CallExpr) {
 		named.Obj().Pkg() == nil || !strings.HasSuffix(named.Obj().Pkg().Path(), "internal/core") {
 		return
 	}
-	// source.go hosts the helpers; obsource.go is a forwarding
-	// decorator whose whole job is the direct call it instruments.
+	// source.go hosts the helpers; stack.go holds the leaf adapter,
+	// whose whole job is the direct call it instruments.
 	switch filepath.Base(l.fset.Position(call.Pos()).Filename) {
-	case "source.go", "obsource.go":
+	case "source.go", "stack.go":
 		return
 	}
 	l.reportf(call.Pos(), "direct ChainSource.%s call in internal/core: use core.Source%s so context and quarantine semantics apply", fn.Name(), fn.Name())
+}
+
+// capabilities are the optional ChainSource extensions rule 7 guards.
+var capabilities = map[string]bool{
+	"ContextSource": true,
+	"BatchSource":   true,
+	"CodeSource":    true,
+	"StorageSource": true,
+}
+
+// checkProbe flags an asserted type that is one of internal/core's
+// optional ChainSource extensions.
+func (l *linter) checkProbe(typ ast.Expr) {
+	named, ok := l.info.Types[typ].Type.(*types.Named)
+	if !ok || !capabilities[named.Obj().Name()] ||
+		named.Obj().Pkg() == nil || !strings.HasSuffix(named.Obj().Pkg().Path(), "internal/core") {
+		return
+	}
+	l.reportf(typ.Pos(), "type assertion on core.%s outside internal/core: read through a core.Layer stack, whose leaf adapter probes source capabilities", named.Obj().Name())
 }
 
 // stdStream reports whether the expression is os.Stdout or os.Stderr,

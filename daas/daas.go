@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ethtypes"
-	"repro/internal/fetchcache"
 	"repro/internal/integrity"
 	"repro/internal/labels"
 	"repro/internal/measure"
@@ -78,16 +77,19 @@ type Client struct {
 	// byte-identical at any setting; concurrency only buys wall-clock
 	// against high-latency sources.
 	Concurrency int
-	// CacheSize, when positive, interposes a sharded single-flight
-	// transaction+receipt cache of that many entries between the
-	// pipeline and the chain source, so overlapping scans and repeat
-	// expansion passes never fetch the same hash twice.
+	// CacheSize, when positive, puts a sharded single-flight
+	// transaction+receipt cache of that many entries on top of the
+	// dataset build's source stack (see NewStack), so overlapping scans
+	// and repeat expansion passes never fetch the same hash twice. It
+	// caches only records the integrity layer admitted, and never a
+	// failure. Validation, clustering and measurement read uncached.
 	CacheSize int
 	// RetryPolicy, when set, retries transient chain-source failures
 	// (timeouts, 5xx, 429, resets) with deterministic exponential
-	// backoff, optionally behind a circuit breaker. It wraps the source
-	// between the cache and the per-method metrics, so retried attempts
-	// are counted and failed results are never cached.
+	// backoff, optionally behind a circuit breaker. It sits between the
+	// integrity layer and the per-method metrics (see NewStack), so
+	// every retried attempt is counted and every re-fetch of a corrupt
+	// record may be retried.
 	RetryPolicy *retry.Policy
 	// CheckpointPath, when set, makes BuildDataset persist its state
 	// atomically to this file at iteration boundaries, so an
@@ -122,12 +124,13 @@ type Client struct {
 	// shim: new code should set Logger.
 	Trace func(format string, args ...any)
 
-	// integrityOnce latches the shared integrity decorator: one instance
-	// serves every pipeline stage, so its transaction pins and permanent
-	// quarantine persist from build through clustering and measurement.
-	integrityOnce sync.Once
-	integritySrc  *integrity.Source
-	coverage      *core.Coverage
+	// stackOnce latches the client's source stack: one integrity layer
+	// serves every pipeline stage, so its transaction pins and
+	// permanent quarantine persist from build through clustering and
+	// measurement.
+	stackOnce sync.Once
+	sources   *Stack
+	coverage  *core.Coverage
 }
 
 // New builds a client from explicit components.
@@ -172,14 +175,14 @@ func (c *Client) BuildDataset() (*Dataset, error) {
 		rc.Retry.Metrics = c.Metrics
 	}
 	p := &core.Pipeline{
-		Source:          c.pipelineSource(),
+		Source:          c.stack().Cached,
 		Labels:          c.labels,
 		Classifier:      c.Classifier,
 		Concurrency:     c.Concurrency,
 		CheckpointPath:  c.CheckpointPath,
 		CheckpointEvery: c.CheckpointEvery,
 		Resume:          c.Resume,
-		Quarantine:      c.integritySource().Quarantine(),
+		Quarantine:      c.stack().Checked.Quarantine(),
 		Coverage:        c.coverageLedger(),
 		Logger:          c.Logger,
 		Metrics:         c.Metrics,
@@ -189,36 +192,18 @@ func (c *Client) BuildDataset() (*Dataset, error) {
 	return p.Build()
 }
 
-// pipelineSource layers the build decorators: metrics innermost (so
-// daas_chain_* counts real fetches, not cache hits), retries next
-// (each wire attempt is counted; an exhausted retry surfaces one
-// failure), integrity validation above the retries (every re-fetch of
-// a corrupt record spends real wire attempts), the fetch cache
-// outermost (so only validated records are ever cached, a
-// failed-then-retried fetch is never cached, and a cache hit spends no
-// retry budget).
-func (c *Client) pipelineSource() core.ChainSource {
-	src := core.ChainSource(c.integritySource())
-	if c.CacheSize > 0 {
-		src = fetchcache.New(src, c.CacheSize, c.Metrics)
-	}
-	return src
-}
-
-// integritySource lazily builds the shared validation decorator over
-// retry-wrapped, instrumented chain access.
-func (c *Client) integritySource() *integrity.Source {
-	c.integrityOnce.Do(func() {
-		src := c.instrumentedSource()
-		if c.RetryPolicy != nil {
-			src = retry.WrapSource(src, c.RetryPolicy)
-		}
-		s := integrity.Wrap(src, nil, c.Metrics)
-		s.MaxRefetch = c.MaxRefetch
-		s.MaxQuarantine = c.MaxQuarantine
-		c.integritySrc = s
+// stack lazily builds the client's chain-source stack.
+func (c *Client) stack() *Stack {
+	c.stackOnce.Do(func() {
+		c.sources = NewStack(c.source, StackConfig{
+			Metrics:       c.Metrics,
+			CacheSize:     c.CacheSize,
+			RetryPolicy:   c.RetryPolicy,
+			MaxRefetch:    c.MaxRefetch,
+			MaxQuarantine: c.MaxQuarantine,
+		})
 	})
-	return c.integritySrc
+	return c.sources
 }
 
 // coverageLedger lazily builds the client's completeness ledger.
@@ -229,22 +214,11 @@ func (c *Client) coverageLedger() *core.Coverage {
 	return c.coverage
 }
 
-// instrumentedSource wraps the chain source with per-method request
-// metrics when observability is enabled. Source() keeps returning the
-// raw source, so type assertions on it (e.g. for local-chain access)
-// are unaffected.
-func (c *Client) instrumentedSource() core.ChainSource {
-	if c.Metrics == nil {
-		return c.source
-	}
-	return core.NewInstrumentedSource(c.source, c.Metrics)
-}
-
 // Validate runs the §5.2 sampling validation over a dataset. Reviews
 // go through the shared integrity source, so a record proven rotten
 // during the build is skipped (and counted) rather than re-trusted.
 func (c *Client) Validate(ds *Dataset) (*ValidationReport, error) {
-	v := core.Validator{Source: c.integritySource(), SamplePerAccount: 10}
+	v := core.Validator{Source: c.stack().Checked, SamplePerAccount: 10}
 	return v.Validate(ds)
 }
 
@@ -257,7 +231,7 @@ func (c *Client) Cluster(ds *Dataset) ([]*Family, error) {
 		degraded[a] = true
 	}
 	cl := cluster.Clusterer{
-		Source:   c.integritySource(),
+		Source:   c.stack().Checked,
 		Labels:   c.labels,
 		Metrics:  c.Metrics,
 		Degraded: degraded,
@@ -268,7 +242,7 @@ func (c *Client) Cluster(ds *Dataset) ([]*Family, error) {
 // Quarantine exposes the shared integrity store (reason-coded
 // rejection counts, permanent quarantines, export).
 func (c *Client) Quarantine() *integrity.Quarantine {
-	return c.integritySource().Quarantine()
+	return c.stack().Checked.Quarantine()
 }
 
 // Coverage returns the completeness ledger of the most recent build.
@@ -376,7 +350,7 @@ func (c *Client) StudyWith(opts StudyOptions) (*Study, error) {
 		return nil, fmt.Errorf("daas: clustering: %w", err)
 	}
 	_, sp = obs.Start(ctx, "study.measure")
-	an := &measure.Analyzer{Source: c.integritySource(), Oracle: c.oracle, Labels: c.labels}
+	an := &measure.Analyzer{Source: c.stack().Checked, Oracle: c.oracle, Labels: c.labels}
 	corpus, err := an.BuildCorpus(ds)
 	sp.End()
 	if err != nil {

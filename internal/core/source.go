@@ -33,10 +33,9 @@ type ChainSource interface {
 // single-object fetches can be cancelled mid-flight. The pipeline's
 // fetch workers call the context variants when available, so
 // cancel-on-first-error aborts in-flight HTTP requests instead of
-// letting them run to their transport timeout. Decorators (metrics,
-// caches, retry, fault injection) forward it unconditionally, checking
-// the wrapped source at call time, so the capability survives
-// wrapping.
+// letting them run to their transport timeout. A source stack's top
+// (Top) implements it, and its leaf (NewLeaf) uses the source's, so
+// the capability survives wrapping.
 type ContextSource interface {
 	TransactionContext(ctx context.Context, h ethtypes.Hash) (*chain.Transaction, error)
 	ReceiptContext(ctx context.Context, h ethtypes.Hash) (*chain.Receipt, error)
@@ -66,9 +65,9 @@ func SourceReceipt(ctx context.Context, src ChainSource, h ethtypes.Hash) (*chai
 // and collapses a frontier scan's N fetches into a handful of calls.
 //
 // Implementations must return exactly one result per requested hash,
-// in request order. Decorators (metrics, caches) implement it
-// unconditionally and degrade to per-item calls when the source they
-// wrap cannot batch, so detection composes through wrapping.
+// in request order. A source stack's top (Top) implements it, and its
+// leaf (NewLeaf) degrades to per-item calls when the source cannot
+// batch, so detection composes through wrapping.
 type BatchSource interface {
 	BatchTransactions(hs []ethtypes.Hash) ([]*chain.Transaction, error)
 	BatchReceipts(hs []ethtypes.Hash) ([]*chain.Receipt, error)

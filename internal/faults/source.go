@@ -2,36 +2,38 @@ package faults
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/ethtypes"
 )
 
-// Source decorates a core.ChainSource with the injector: every chain
-// read first rolls the fault schedule and errors when a fault lands.
-// It forwards the optional source capabilities (batching, bytecode,
-// context-aware fetches) so the pipeline under test exercises the same
-// code paths it would against the clean source.
+// Source is a core.ChainSource with the injector in front of it:
+// every chain read first rolls the fault schedule, exactly once per
+// call, and errors when a fault lands. It serves the same optional
+// source capabilities (batching, bytecode, context-aware fetches) as
+// any stack top, so the pipeline under test exercises the same code
+// paths it would against a production stack.
 type Source struct {
-	src core.ChainSource
+	*core.Top
+}
+
+// layer is the fault-injection layer under Source's top.
+type layer struct {
+	core.Layer
 	inj *Injector
 }
 
 // WrapSource returns src with the injector in front of it.
 func WrapSource(src core.ChainSource, inj *Injector) *Source {
-	return &Source{src: src, inj: inj}
+	return &Source{core.NewTop(&layer{Layer: core.NewLeaf(src, nil), inj: inj})}
 }
-
-// Unwrap returns the wrapped source.
-func (s *Source) Unwrap() core.ChainSource { return s.src }
 
 // fault rolls the schedule for a non-record operation. A corruption
 // kind drawn here has nothing to corrupt (hash lists and booleans carry
 // no validatable record), so it passes the clean response through; the
 // roll is still consumed, keeping the schedule aligned.
-func (s *Source) fault(op string) error {
+func (s *layer) fault(op string) error {
 	kind, fatal, ok := s.inj.roll()
 	if !ok || (!fatal && kind.corrupting()) {
 		return nil
@@ -42,7 +44,7 @@ func (s *Source) fault(op string) error {
 // rollRecord rolls the schedule for a record-fetching operation: it
 // reports a corruption kind to apply to the response, an error to
 // return instead, or a clean pass.
-func (s *Source) rollRecord(op string) (kind Kind, corrupt bool, err error) {
+func (s *layer) rollRecord(op string) (kind Kind, corrupt bool, err error) {
 	kind, fatal, ok := s.inj.roll()
 	if !ok {
 		return 0, false, nil
@@ -100,156 +102,58 @@ func corruptReceipt(rec *chain.Receipt, kind Kind) *chain.Receipt {
 	return &cp
 }
 
-// TransactionsOf implements core.ChainSource.
-func (s *Source) TransactionsOf(addr ethtypes.Address) ([]ethtypes.Hash, error) {
+// TransactionsOf implements core.Layer.
+func (s *layer) TransactionsOf(ctx context.Context, addr ethtypes.Address) ([]ethtypes.Hash, error) {
 	if err := s.fault("TransactionsOf"); err != nil {
 		return nil, err
 	}
-	return s.src.TransactionsOf(addr)
+	return s.Layer.TransactionsOf(ctx, addr)
 }
 
-// Transaction implements core.ChainSource.
-func (s *Source) Transaction(h ethtypes.Hash) (*chain.Transaction, error) {
-	// All corruption kinds degrade to field mutation on a transaction.
-	_, corrupt, err := s.rollRecord("Transaction")
-	if err != nil {
-		return nil, err
-	}
-	tx, err := s.src.Transaction(h)
-	if err != nil {
-		return nil, err
-	}
-	if corrupt {
-		return corruptTransaction(tx), nil
-	}
-	return tx, nil
-}
-
-// Receipt implements core.ChainSource.
-func (s *Source) Receipt(h ethtypes.Hash) (*chain.Receipt, error) {
-	kind, corrupt, err := s.rollRecord("Receipt")
-	if err != nil {
-		return nil, err
-	}
-	rec, err := s.src.Receipt(h)
-	if err != nil {
-		return nil, err
-	}
-	if corrupt {
-		return corruptReceipt(rec, kind), nil
-	}
-	return rec, nil
-}
-
-// TransactionContext implements core.ContextSource.
-func (s *Source) TransactionContext(ctx context.Context, h ethtypes.Hash) (*chain.Transaction, error) {
-	_, corrupt, err := s.rollRecord("Transaction")
-	if err != nil {
-		return nil, err
-	}
-	tx, err := core.SourceTransaction(ctx, s.src, h)
-	if err != nil {
-		return nil, err
-	}
-	if corrupt {
-		return corruptTransaction(tx), nil
-	}
-	return tx, nil
-}
-
-// ReceiptContext implements core.ContextSource.
-func (s *Source) ReceiptContext(ctx context.Context, h ethtypes.Hash) (*chain.Receipt, error) {
-	kind, corrupt, err := s.rollRecord("Receipt")
-	if err != nil {
-		return nil, err
-	}
-	rec, err := core.SourceReceipt(ctx, s.src, h)
-	if err != nil {
-		return nil, err
-	}
-	if corrupt {
-		return corruptReceipt(rec, kind), nil
-	}
-	return rec, nil
-}
-
-// IsContract implements core.ChainSource.
-func (s *Source) IsContract(addr ethtypes.Address) (bool, error) {
+// IsContract implements core.Layer.
+func (s *layer) IsContract(ctx context.Context, addr ethtypes.Address) (bool, error) {
 	if err := s.fault("IsContract"); err != nil {
 		return false, err
 	}
-	return s.src.IsContract(addr)
+	return s.Layer.IsContract(ctx, addr)
 }
 
-// Code implements core.CodeSource when the wrapped source does.
-func (s *Source) Code(addr ethtypes.Address) ([]byte, error) {
-	cs, ok := s.src.(core.CodeSource)
-	if !ok {
-		return nil, fmt.Errorf("faults: source %T does not serve bytecode", s.src)
-	}
+// Code implements core.Layer.
+func (s *layer) Code(ctx context.Context, addr ethtypes.Address) ([]byte, error) {
 	if err := s.fault("Code"); err != nil {
 		return nil, err
 	}
-	return cs.Code(addr)
+	return s.Layer.Code(ctx, addr)
 }
 
-// BatchTransactions implements core.BatchSource, degrading to per-item
-// fetches when the wrapped source cannot batch (one roll per batch
-// either way — a batch is one wire operation).
-func (s *Source) BatchTransactions(hs []ethtypes.Hash) ([]*chain.Transaction, error) {
-	_, corrupt, err := s.rollRecord("BatchTransactions")
+// Transactions implements core.Layer. All corruption kinds degrade to
+// field mutation on a transaction.
+func (s *layer) Transactions(ctx context.Context, hs []ethtypes.Hash) ([]*chain.Transaction, error) {
+	return inject(ctx, s, hs, core.TxOp(hs), s.Layer.Transactions,
+		func(tx *chain.Transaction, _ Kind) *chain.Transaction { return corruptTransaction(tx) })
+}
+
+// Receipts implements core.Layer.
+func (s *layer) Receipts(ctx context.Context, hs []ethtypes.Hash) ([]*chain.Receipt, error) {
+	return inject(ctx, s, hs, core.ReceiptOp(hs), s.Layer.Receipts, corruptReceipt)
+}
+
+// inject rolls the schedule once for a record read. A rolled error
+// replaces the read; a rolled corruption lands on the first entry.
+func inject[T any](ctx context.Context, s *layer, hs []ethtypes.Hash, op string,
+	read func(context.Context, []ethtypes.Hash) ([]T, error), corrupt func(T, Kind) T) ([]T, error) {
+	kind, corrupted, err := s.rollRecord(op)
 	if err != nil {
 		return nil, err
 	}
-	var out []*chain.Transaction
-	if bs, ok := s.src.(core.BatchSource); ok {
-		out, err = bs.BatchTransactions(hs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		out = make([]*chain.Transaction, len(hs))
-		for i, h := range hs {
-			tx, err := s.src.Transaction(h)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = tx
-		}
-	}
-	if corrupt && len(out) > 0 {
-		// One roll per batch; the fault lands on the first entry.
-		out = append([]*chain.Transaction(nil), out...)
-		out[0] = corruptTransaction(out[0])
-	}
-	return out, nil
-}
-
-// BatchReceipts implements core.BatchSource; see BatchTransactions.
-func (s *Source) BatchReceipts(hs []ethtypes.Hash) ([]*chain.Receipt, error) {
-	kind, corrupt, err := s.rollRecord("BatchReceipts")
+	out, err := read(ctx, hs)
 	if err != nil {
 		return nil, err
 	}
-	var out []*chain.Receipt
-	if bs, ok := s.src.(core.BatchSource); ok {
-		out, err = bs.BatchReceipts(hs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		out = make([]*chain.Receipt, len(hs))
-		for i, h := range hs {
-			rec, err := s.src.Receipt(h)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = rec
-		}
-	}
-	if corrupt && len(out) > 0 {
-		out = append([]*chain.Receipt(nil), out...)
-		out[0] = corruptReceipt(out[0], kind)
+	if corrupted && len(out) > 0 {
+		// Corrupt a copy: the source's own slice and records stay intact.
+		out = append([]T(nil), out...)
+		out[0] = corrupt(out[0], kind)
 	}
 	return out, nil
 }

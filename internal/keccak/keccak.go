@@ -8,7 +8,11 @@
 // 1088-bit rate, written against the Keccak reference specification.
 package keccak
 
-import "hash"
+import (
+	"encoding/binary"
+	"hash"
+	"math/bits"
+)
 
 const (
 	// rate is the sponge rate in bytes for Keccak-256 (1088 bits).
@@ -28,50 +32,55 @@ var roundConstants = [24]uint64{
 	0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 }
 
-// rotationOffsets holds the rho-step rotation amount for lane (x, y),
-// indexed as rotationOffsets[x+5*y].
-var rotationOffsets = [25]uint{
-	0, 1, 62, 28, 27,
-	36, 44, 6, 55, 20,
-	3, 10, 43, 25, 39,
-	41, 45, 15, 21, 8,
-	18, 2, 61, 56, 14,
-}
+// piLanes and rhoOffsets walk the combined rho and pi steps as one
+// cycle through the 24 non-origin lanes (lane (x, y) at index x+5*y):
+// the lane at piLanes[i] receives its predecessor on the cycle,
+// rotated left by rhoOffsets[i].
+var (
+	piLanes    = [24]int{10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4, 15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1}
+	rhoOffsets = [24]int{1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14, 27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44}
+)
 
 // state is the 5x5 lane matrix of Keccak-f[1600], flattened with lane
 // (x, y) at index x+5*y.
 type state [25]uint64
 
-func rotl(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
-
 // permute applies the full 24-round Keccak-f[1600] permutation in place.
 func (a *state) permute() {
-	var c, d [5]uint64
-	var b state
 	for round := 0; round < 24; round++ {
 		// Theta.
-		for x := 0; x < 5; x++ {
-			c[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
+		c0 := a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20]
+		c1 := a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21]
+		c2 := a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22]
+		c3 := a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23]
+		c4 := a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24]
+		d := [5]uint64{
+			c4 ^ bits.RotateLeft64(c1, 1),
+			c0 ^ bits.RotateLeft64(c2, 1),
+			c1 ^ bits.RotateLeft64(c3, 1),
+			c2 ^ bits.RotateLeft64(c4, 1),
+			c3 ^ bits.RotateLeft64(c0, 1),
 		}
-		for x := 0; x < 5; x++ {
-			d[x] = c[(x+4)%5] ^ rotl(c[(x+1)%5], 1)
-		}
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				a[x+5*y] ^= d[x]
-			}
+		for y := 0; y < 25; y += 5 {
+			a[y] ^= d[0]
+			a[y+1] ^= d[1]
+			a[y+2] ^= d[2]
+			a[y+3] ^= d[3]
+			a[y+4] ^= d[4]
 		}
 		// Rho and pi.
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				b[y+5*((2*x+3*y)%5)] = rotl(a[x+5*y], rotationOffsets[x+5*y])
-			}
+		t := a[1]
+		for i, j := range piLanes {
+			a[j], t = bits.RotateLeft64(t, rhoOffsets[i]), a[j]
 		}
 		// Chi.
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				a[x+5*y] = b[x+5*y] ^ (^b[(x+1)%5+5*y] & b[(x+2)%5+5*y])
-			}
+		for y := 0; y < 25; y += 5 {
+			b0, b1, b2, b3, b4 := a[y], a[y+1], a[y+2], a[y+3], a[y+4]
+			a[y] = b0 ^ (^b1 & b2)
+			a[y+1] = b1 ^ (^b2 & b3)
+			a[y+2] = b2 ^ (^b3 & b4)
+			a[y+3] = b3 ^ (^b4 & b0)
+			a[y+4] = b4 ^ (^b0 & b1)
 		}
 		// Iota.
 		a[0] ^= roundConstants[round]
@@ -100,11 +109,7 @@ func (d *digest) Reset() {
 // absorb XORs one full rate block into the state and permutes.
 func (d *digest) absorb(block []byte) {
 	for i := 0; i < rate/8; i++ {
-		var lane uint64
-		for j := 7; j >= 0; j-- {
-			lane = lane<<8 | uint64(block[i*8+j])
-		}
-		d.a[i] ^= lane
+		d.a[i] ^= binary.LittleEndian.Uint64(block[i*8:])
 	}
 	d.a.permute()
 }
@@ -147,11 +152,7 @@ func (d *digest) finalize(out *[Size]byte) {
 	d.buf[rate-1] ^= 0x80
 	d.absorb(d.buf[:])
 	for i := 0; i < Size/8; i++ {
-		lane := d.a[i]
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = byte(lane)
-			lane >>= 8
-		}
+		binary.LittleEndian.PutUint64(out[i*8:], d.a[i])
 	}
 }
 

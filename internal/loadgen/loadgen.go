@@ -1,7 +1,7 @@
 // Package loadgen is the deterministic load-generator/stresser harness
 // for the measurement pipeline (ROADMAP item 2): it drives a
-// ChainSource stack — the in-process simulator, the full decorator
-// sandwich, or a remote JSON-RPC endpoint — with a seeded operation
+// ChainSource stack — the in-process simulator, a daas.NewStack source
+// stack, or a remote JSON-RPC endpoint — with a seeded operation
 // schedule at a configured rate or concurrency, and it drives complete
 // §5.1 dataset builds (see RunPipeline), recording per-op latency
 // histograms, error counts, and achieved-versus-offered throughput

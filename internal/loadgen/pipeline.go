@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/daas"
 	"repro/internal/core"
-	"repro/internal/fetchcache"
 	"repro/internal/obs"
 	"repro/internal/worldgen"
 )
@@ -18,9 +18,9 @@ type PipelineConfig struct {
 	// Concurrency is the pipeline's fetch worker count (0 = the
 	// pipeline default).
 	Concurrency int
-	// CacheSize, when positive, inserts a fetchcache of that capacity
-	// between the pipeline and the instrumented source — the production
-	// decorator stack instead of a bare simulator.
+	// CacheSize, when positive, puts a fetch cache of that capacity on
+	// top of the source stack (daas.NewStack), as a cached daas build
+	// runs it.
 	CacheSize int
 	// Registry receives the build-duration histogram and the
 	// instrumented source's metrics. Private registry when nil.
@@ -51,8 +51,9 @@ type PipelineResult struct {
 }
 
 // RunPipeline runs cfg.Builds complete pipeline builds over the world
-// through the instrumented (and optionally cached) source stack,
-// timing each build into daas_loadgen_build_duration_seconds.
+// through the production source stack (metrics, integrity and the
+// optional cache, all builds sharing one stack), timing each build
+// into daas_loadgen_build_duration_seconds.
 func RunPipeline(w *worldgen.World, cfg PipelineConfig) (*PipelineResult, error) {
 	if w == nil {
 		return nil, fmt.Errorf("loadgen: no world")
@@ -68,10 +69,7 @@ func RunPipeline(w *worldgen.World, cfg PipelineConfig) (*PipelineResult, error)
 	buildHist := reg.Histogram("daas_loadgen_build_duration_seconds", "full pipeline build wall time under loadgen", obs.DefDurationBuckets)
 	base := reg.Snapshot()
 
-	var src core.ChainSource = core.NewInstrumentedSource(core.LocalSource{Chain: w.Chain}, reg)
-	if cfg.CacheSize > 0 {
-		src = fetchcache.New(src, cfg.CacheSize, reg)
-	}
+	src := daas.NewStack(core.LocalSource{Chain: w.Chain}, daas.StackConfig{Metrics: reg, CacheSize: cfg.CacheSize}).Cached
 
 	res := &PipelineResult{Builds: builds, Identical: true}
 	start := obs.Now()

@@ -20,7 +20,7 @@ func TestPipelineMetricsIntegration(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder()
-	src := core.NewInstrumentedSource(core.LocalSource{Chain: w.Chain}, reg)
+	src := core.NewTop(core.NewLeaf(core.LocalSource{Chain: w.Chain}, reg))
 	p := &core.Pipeline{
 		Source:  src,
 		Labels:  w.Labels,

@@ -57,9 +57,10 @@ type PinReleaser interface {
 
 // Config wires a Radar to its chain, detector, and outputs.
 type Config struct {
-	// Source serves transaction/receipt records — normally the full
-	// cache→integrity→retry→metrics stack, so the radar inherits
-	// quarantine semantics and refetch behavior.
+	// Source serves transaction/receipt records — normally the
+	// uncached top of a daas.NewStack stack (metrics → integrity), so
+	// the radar inherits quarantine semantics and refetch behavior
+	// without a cache whose receipts would outlive a reorg.
 	Source core.ChainSource
 	// Blocks serves the head cursor and block headers.
 	Blocks BlockSource
