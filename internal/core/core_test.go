@@ -341,7 +341,7 @@ func exportJSON(t *testing.T, w *worldgen.World, workers, cacheSize int) []byte 
 	t.Helper()
 	var src core.ChainSource = core.LocalSource{Chain: w.Chain}
 	if cacheSize > 0 {
-		src = fetchcache.New(src, cacheSize, nil)
+		src = core.NewTop(fetchcache.NewCache(core.NewLeaf(src, nil), cacheSize, nil))
 	}
 	p := &core.Pipeline{
 		Source:      src,

@@ -117,10 +117,10 @@ func TestFatalAfterOpsPlantsOneFatalFault(t *testing.T) {
 
 func TestRetryPolicyAbsorbsInjectedFaults(t *testing.T) {
 	inj := faults.NewInjector(faults.Plan{Seed: 5, Rate: 1, MaxFaults: 2}, nil)
-	src := retry.WrapSource(faults.WrapSource(nullSource{}, inj), &retry.Policy{
+	src := core.NewTop(retry.NewLayer(core.NewLeaf(faults.WrapSource(nullSource{}, inj), nil), &retry.Policy{
 		MaxAttempts: 4,
 		Sleep:       func(context.Context, time.Duration) error { return nil },
-	})
+	}))
 	if _, err := src.Transaction(ethtypes.Hash{}); err != nil {
 		t.Fatalf("retry did not absorb 2 transient faults: %v", err)
 	}

@@ -495,8 +495,8 @@ func TestRadarSoakConcurrent(t *testing.T) {
 	dst := f.Chain()
 	reg := obs.NewRegistry()
 	inj := faults.NewInjector(faults.Plan{Seed: 3, Rate: 0.01, MaxFaults: 25}, reg)
-	src := integrity.Wrap(
-		retry.WrapSource(faults.WrapSource(core.LocalSource{Chain: dst}, inj),
+	src := integrity.NewSource(
+		retry.NewLayer(core.NewLeaf(faults.WrapSource(core.LocalSource{Chain: dst}, inj), nil),
 			&retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, Metrics: reg}),
 		integrity.NewQuarantine(reg), reg)
 	eng := screen.NewEngine(reg)
