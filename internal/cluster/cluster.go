@@ -346,6 +346,9 @@ func nameFamily(fam *Family, ds *core.Dataset, lbls *labels.Directory) {
 type unionFind struct {
 	parent map[ethtypes.Address]ethtypes.Address
 	rank   map[ethtypes.Address]int
+	// journal, when set, records the inverse of every parent and rank
+	// write, path compression included.
+	journal *core.Journal
 }
 
 func newUnionFind(members []ethtypes.Address) *unionFind {
@@ -362,12 +365,13 @@ func newUnionFind(members []ethtypes.Address) *unionFind {
 // add registers a as a singleton set; a no-op when already a member.
 func (uf *unionFind) add(a ethtypes.Address) {
 	if _, ok := uf.parent[a]; !ok {
+		core.JournalKey(uf.journal, uf.parent, a)
 		uf.parent[a] = a
 	}
 }
 
 // clone returns an independent copy sharing no state with the
-// original.
+// original; the copy journals nothing.
 func (uf *unionFind) clone() *unionFind {
 	return &unionFind{parent: maps.Clone(uf.parent), rank: maps.Clone(uf.rank)}
 }
@@ -386,7 +390,12 @@ func (uf *unionFind) find(a ethtypes.Address) (ethtypes.Address, bool) {
 		root = uf.parent[root]
 	}
 	for a != root {
-		a, uf.parent[a] = uf.parent[a], root
+		next := uf.parent[a]
+		if next != root {
+			core.JournalKey(uf.journal, uf.parent, a)
+			uf.parent[a] = root
+		}
+		a = next
 	}
 	return root, true
 }
@@ -403,8 +412,10 @@ func (uf *unionFind) union(a, b ethtypes.Address) bool {
 	if uf.rank[ra] < uf.rank[rb] {
 		ra, rb = rb, ra
 	}
+	core.JournalKey(uf.journal, uf.parent, rb)
 	uf.parent[rb] = ra
 	if uf.rank[ra] == uf.rank[rb] {
+		core.JournalKey(uf.journal, uf.rank, ra)
 		uf.rank[ra]++
 	}
 	return true

@@ -24,6 +24,7 @@ type Incremental struct {
 	Labels *labels.Directory
 
 	uf      *unionFind
+	journal *core.Journal
 	tainted map[ethtypes.Address]bool
 	// counterparties records, per Etherscan-phishing counterparty, the
 	// member operators seen transacting with it.
@@ -49,6 +50,14 @@ func NewIncremental(lbls *labels.Directory, reg *obs.Registry) *Incremental {
 	}
 }
 
+// SetJournal makes every later mutation record its inverse in j, so a
+// head follower can undo the blocks a reorg orphaned; nil stops
+// journaling. Restore is never journaled.
+func (inc *Incremental) SetJournal(j *core.Journal) {
+	inc.journal = j
+	inc.uf.journal = j
+}
+
 // AddOperator registers a dataset operator as a singleton set. The
 // caller is expected to follow up with ObserveTx over the operator's
 // transaction history, so feed-time membership checks converge to what
@@ -63,13 +72,20 @@ func (inc *Incremental) Contains(op ethtypes.Address) bool {
 
 // ObserveQuarantined marks op tainted: a record in its history was
 // refused by the integrity layer, so an edge may have been missed.
-func (inc *Incremental) ObserveQuarantined(op ethtypes.Address) { inc.tainted[op] = true }
+func (inc *Incremental) ObserveQuarantined(op ethtypes.Address) { inc.taint(op) }
+
+func (inc *Incremental) taint(op ethtypes.Address) {
+	if !inc.tainted[op] {
+		core.JournalKey(inc.journal, inc.tainted, op)
+		inc.tainted[op] = true
+	}
+}
 
 // ObserveTx feeds one transaction of member operator op — the body of
 // the batch Clusterer's history walk. A nil tx counts as quarantined.
 func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 	if tx == nil {
-		inc.tainted[op] = true
+		inc.taint(op)
 		return
 	}
 	if tx.To == nil {
@@ -99,9 +115,13 @@ func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 	set := inc.counterparties[counterparty]
 	if set == nil {
 		set = make(map[ethtypes.Address]bool)
+		core.JournalKey(inc.journal, inc.counterparties, counterparty)
 		inc.counterparties[counterparty] = set
 	}
-	set[op] = true
+	if !set[op] {
+		core.JournalKey(inc.journal, set, op)
+		set[op] = true
+	}
 }
 
 // Families rolls the accumulated evidence up into the family list for
@@ -284,5 +304,6 @@ func (inc *Incremental) Restore(blob []byte) error {
 		}
 		inc.tainted[a] = true
 	}
+	inc.uf.journal = inc.journal
 	return nil
 }

@@ -39,6 +39,10 @@ type Admission struct {
 	// already folded into it.
 	DS         *Dataset
 	Classified map[ethtypes.Hash]bool
+	// Journal, when set, records the inverse of every mutation of DS and
+	// Classified, so a head follower can undo the blocks a reorg
+	// orphaned. Pipeline leaves it nil.
+	Journal *Journal
 
 	source     ChainSource
 	labels     *labels.Directory
@@ -139,6 +143,7 @@ func (a *Admission) Absorb(ctx context.Context, addr ethtypes.Address, found Dis
 		crec := a.DS.Contracts[addr]
 		if crec == nil {
 			crec = &ContractRecord{Address: addr, Found: found, FirstSeen: r.Timestamp, LastSeen: r.Timestamp}
+			JournalKey(a.Journal, a.DS.Contracts, addr)
 			a.DS.Contracts[addr] = crec
 			a.m.contracts.With(string(found)).Inc()
 			if found == DiscoverySeed {
@@ -164,6 +169,7 @@ func (a *Admission) Absorb(ctx context.Context, addr ethtypes.Address, found Dis
 // discovery mode. The splits of one transaction share its timestamp.
 func (a *Admission) Fold(crec *ContractRecord, h ethtypes.Hash, splits []Split) error {
 	ts := splits[0].Time
+	JournalValue(a.Journal, crec)
 	if ts.Before(crec.FirstSeen) {
 		crec.FirstSeen = ts
 	}
@@ -171,15 +177,17 @@ func (a *Admission) Fold(crec *ContractRecord, h ethtypes.Hash, splits []Split) 
 		crec.LastSeen = ts
 	}
 	crec.TxCount++
+	JournalKey(a.Journal, a.Classified, h)
 	a.Classified[h] = true
 	for _, sp := range splits {
+		JournalKey(a.Journal, a.DS.Splits, sp.TxHash)
 		a.DS.Splits[sp.TxHash] = append(a.DS.Splits[sp.TxHash], sp)
-		if touchAccount(a.DS.Operators, sp.Operator, sp.Time, crec.Found) {
+		if touchAccount(a.Journal, a.DS.Operators, sp.Operator, sp.Time, crec.Found) {
 			if err := a.onAdmit(RoleOperator, sp.Operator, crec.Found); err != nil {
 				return err
 			}
 		}
-		if touchAccount(a.DS.Affiliates, sp.Affiliate, sp.Time, crec.Found) {
+		if touchAccount(a.Journal, a.DS.Affiliates, sp.Affiliate, sp.Time, crec.Found) {
 			if err := a.onAdmit(RoleAffiliate, sp.Affiliate, crec.Found); err != nil {
 				return err
 			}

@@ -175,13 +175,16 @@ func hashLess(a, b ethtypes.Hash) bool {
 // sighting upgrades an expansion-discovered account, never the
 // reverse: the batch build runs its whole seed phase first, so any
 // party to a seed contract's split carries the seed tag there, and in
-// block order the expansion sighting can come first.
-func touchAccount(m map[ethtypes.Address]*AccountRecord, a ethtypes.Address, t time.Time, found Discovery) bool {
+// block order the expansion sighting can come first. Every change is
+// recorded in j.
+func touchAccount(j *Journal, m map[ethtypes.Address]*AccountRecord, a ethtypes.Address, t time.Time, found Discovery) bool {
 	rec, ok := m[a]
 	if !ok {
+		JournalKey(j, m, a)
 		m[a] = &AccountRecord{Address: a, Found: found, FirstSeen: t, LastSeen: t}
 		return true
 	}
+	JournalValue(j, rec)
 	if found == DiscoverySeed {
 		rec.Found = DiscoverySeed
 	}

@@ -29,9 +29,9 @@ type RadarCheckpoint struct {
 	Radar      json.RawMessage
 }
 
-// MarshalRadarCheckpoint serializes cp to its on-disk byte form. The
-// radar also uses these bytes as in-memory rollback restore points, so
-// restoring one must be equivalent to a resume from disk.
+// MarshalRadarCheckpoint serializes cp to its on-disk byte form, from
+// which a resume must continue exactly where the checkpointed radar
+// stopped.
 func MarshalRadarCheckpoint(cp *RadarCheckpoint) ([]byte, error) {
 	head := cp.Head
 	return encodeCheckpoint(checkpointJSON{Version: radarCheckpointVersion, Head: &head, Radar: cp.Radar},

@@ -12,8 +12,8 @@
 // a known contract, seed a labeled phishing contract, or absorb the
 // invoked contract through the expansion gate, witnessed by the
 // dataset accounts among the transaction's parties. Absorbs stop at
-// the block being ingested: later history arrives live, which keeps
-// restore points consistent with their block boundary. A transaction
+// the block being ingested: later history arrives live, so every
+// mutation belongs to the block that caused it. A transaction
 // no rung admits is parked and re-examined to fixpoint whenever the
 // dataset grows — the arrival-order analogue of the batch frontier's
 // iteration.
@@ -24,11 +24,14 @@
 // and family export byte-identical to running core.Pipeline followed
 // by cluster.Clusterer over the finished chain.
 //
-// Reorgs are handled with a bounded ring of recent block hashes, two
-// in-memory restore points (serialized checkpoints at multiples of the
-// reorg window), and the integrity layer's per-tx pins: on a fork the
-// radar releases receipt pins above the fork block, restores the
-// newest point at or below it, and replays forward.
+// Reorgs are handled with a bounded ring of recent block hashes, an
+// undo journal (core.Journal) that the admission core, the incremental
+// clusterer and the pending set write the inverse of each mutation to,
+// tagged with its block, and the integrity layer's per-tx pins. On a
+// fork the radar releases receipt pins above the fork block, undoes
+// the journal entries of the orphaned blocks newest first, and ingests
+// the canonical blocks from there. The journal keeps the last
+// ReorgWindow blocks.
 package radar
 
 import (
@@ -81,8 +84,8 @@ type Config struct {
 	// PollInterval is the head poll cadence of Run (default 250ms).
 	PollInterval time.Duration
 	// ReorgWindow bounds rollback depth: the radar keeps this many
-	// recent block hashes and restore points spaced this many blocks
-	// apart (default 32).
+	// recent block hashes and the undo journal of as many blocks
+	// (default 32).
 	ReorgWindow int
 	// CheckpointPath, when set, persists a version-3 radar checkpoint
 	// at block boundaries.
@@ -116,16 +119,10 @@ type ringEntry struct {
 	Hash   ethtypes.Hash
 }
 
-// statePoint is an in-memory restore point: a serialized checkpoint at
-// a block boundary.
-type statePoint struct {
-	head uint64
-	blob []byte
-}
-
 type radarMetrics struct {
 	blocks, txs, reorgsC, swapsC, updates, ckpts, stepErrs *obs.Counter
-	head, cursor, pendingG, familiesG                      *obs.Gauge
+	head, cursor, pendingG, familiesG, journalG            *obs.Gauge
+	rollback                                               *obs.Histogram
 }
 
 func newRadarMetrics(reg *obs.Registry) radarMetrics {
@@ -141,6 +138,9 @@ func newRadarMetrics(reg *obs.Registry) radarMetrics {
 		cursor:    reg.Gauge("daas_radar_cursor", "last block folded into the dataset"),
 		pendingG:  reg.Gauge("daas_radar_pending_txs", "split transactions parked at the expansion gate"),
 		familiesG: reg.Gauge("daas_radar_families", "families in the latest rollup"),
+		journalG:  reg.Gauge("daas_radar_journal_entries", "undo journal entries held for reorg rollback"),
+		rollback: reg.Histogram("daas_radar_rollback_blocks", "blocks undone per reorg rollback",
+			[]float64{1, 2, 4, 8, 16, 32, 64}),
 	}
 }
 
@@ -156,13 +156,15 @@ type Radar struct {
 	pending  map[ethtypes.Hash]*pendingTx
 	inc      *cluster.Incremental
 	phishing map[ethtypes.Address]bool
+	// journal undoes the mutations of adm, inc, pending and the ring
+	// block by block, back to the ring's oldest block.
+	journal *core.Journal
 
 	cursor   uint64 // last block folded in
 	lastHead uint64
 	dirty    bool // dataset changed since last recompile
 
-	ring   []ringEntry
-	points []statePoint
+	ring []ringEntry
 
 	updates      []Update
 	updateCursor uint64
@@ -197,7 +199,7 @@ func New(cfg Config) (*Radar, error) {
 			return nil, err
 		}
 		if cp != nil {
-			if err := r.applyCheckpointLocked(cp, false); err != nil {
+			if err := r.applyCheckpointLocked(cp); err != nil {
 				return nil, err
 			}
 			r.logger().Info("radar resumed from checkpoint",
@@ -229,13 +231,22 @@ func (r *Radar) resetLocked() error {
 	r.cursor = 0
 	r.famOf = make(map[ethtypes.Address]string)
 	r.familyCount = 0
-	r.points = nil
+	r.startJournalLocked()
 	gen, err := r.cfg.Blocks.BlockRef(0)
 	if err != nil {
 		return fmt.Errorf("radar: fetching genesis: %w", err)
 	}
 	r.ring = []ringEntry{{Number: 0, Hash: gen.Hash}}
 	return nil
+}
+
+// startJournalLocked starts an empty undo journal over the state at the
+// cursor and has the admission core and the clusterer write to it.
+func (r *Radar) startJournalLocked() {
+	r.journal = core.NewJournal(r.cursor)
+	r.adm.Journal = r.journal
+	r.inc.SetJournal(r.journal)
+	r.m.journalG.Set(0)
 }
 
 // Run polls the head until ctx is canceled. Step errors are logged and
@@ -302,14 +313,17 @@ func (r *Radar) Step() (bool, error) {
 		}
 		r.ring = append(r.ring, ringEntry{Number: ref.Number, Hash: ref.Hash})
 		for len(r.ring) > r.window()+1 {
+			oldest := r.ring[0]
+			r.journal.Record(func() { r.ring = append([]ringEntry{oldest}, r.ring...) })
 			r.ring = r.ring[1:]
 		}
 		r.cursor = n
 		r.m.cursor.Set(int64(n))
 		advanced = true
-		if err := r.maybePointLocked(); err != nil {
-			return advanced, err
+		if w := uint64(r.window()); n > w {
+			r.journal.Trim(n - w)
 		}
+		r.m.journalG.Set(int64(r.journal.Len()))
 		if err := r.maybeCheckpointLocked(); err != nil {
 			return advanced, err
 		}
@@ -363,73 +377,56 @@ func (r *Radar) checkTailLocked(head uint64) (fork uint64, reorged bool, err err
 }
 
 // rollbackLocked undoes all state above the fork block: integrity
-// receipt pins are released, the newest restore point at or below the
-// fork is reinstated (or the radar resets to genesis), and a reorg
-// update is emitted. The main loop then replays the canonical blocks.
+// receipt pins are released, the journal entries of the orphaned
+// blocks are undone, the ring and cursor are cut back to the fork, and
+// a reorg update is emitted. The main loop then ingests the canonical
+// blocks. A fork older than the journal, which only a resume leaves
+// uncovered, resets the radar to genesis instead. Families are
+// re-announced after the next recompile.
 func (r *Radar) rollbackLocked(fork uint64) error {
 	released := 0
 	if r.cfg.Pins != nil {
 		released = r.cfg.Pins.ReleasePinsAbove(fork)
 	}
-	if err := r.restorePointLocked(fork); err != nil {
+	depth := r.cursor - fork
+	undone, ok := r.journal.Revert(fork)
+	if ok {
+		r.ring = r.ring[:fork-r.ring[0].Number+1]
+		r.cursor = fork
+		r.m.cursor.Set(int64(fork))
+	} else if err := r.resetLocked(); err != nil {
 		return err
 	}
+	r.famOf = make(map[ethtypes.Address]string)
+	r.familyCount = 0
+	r.m.rollback.Observe(float64(depth))
+	r.m.journalG.Set(int64(r.journal.Len()))
 	r.reorgs++
 	r.m.reorgsC.Inc()
 	r.dirty = true
 	r.emitLocked(Update{Kind: KindReorg, Block: fork})
 	r.logger().Info("radar reorg rollback",
-		"fork", fork, "restored_cursor", r.cursor, "pins_released", released)
+		"fork", fork, "restored_cursor", r.cursor, "undone", undone, "pins_released", released)
 	return nil
 }
 
 // failsafeLocked recovers from a mid-block ingest failure. Block
 // ingestion is not atomic — an error inside an absorb cascade leaves a
 // contract partially recorded, and simply continuing would diverge
-// from the batch pipeline forever. Instead the radar falls back to the
-// newest restore point (or genesis) and replays deterministically,
-// exactly like a reorg rollback; a reorg update tells feed consumers
-// to resync. The original error is returned for the caller to log.
+// from the batch pipeline forever. Instead the radar undoes the
+// journal entries of the failed block, which puts the state back at
+// the cursor, and the next Step ingests the block again; a reorg
+// update tells feed consumers to drop what the block emitted. The
+// original error is returned for the caller to log.
 func (r *Radar) failsafeLocked(cause error) error {
-	if err := r.restorePointLocked(r.cursor); err != nil {
-		return fmt.Errorf("radar: failsafe reset after %w: %w", cause, err)
-	}
+	// The journal always reaches back to the cursor: it is trimmed only
+	// to blocks below it, and starts at it after a reset or resume.
+	r.journal.Revert(r.cursor)
+	r.m.journalG.Set(int64(r.journal.Len()))
 	r.emitLocked(Update{Kind: KindReorg, Block: r.cursor})
-	r.logger().Warn("radar ingest failed; rolled back to restore point",
+	r.logger().Warn("radar ingest failed; undid the partial block",
 		"cursor", r.cursor, "err", cause)
 	return cause
-}
-
-// restorePointLocked reinstates the newest restore point at or below
-// block maxHead, or genesis state when there is none. A point that
-// fails to decode is dropped in favor of an older one.
-func (r *Radar) restorePointLocked(maxHead uint64) error {
-	for i := len(r.points) - 1; i >= 0; i-- {
-		if r.points[i].head <= maxHead && r.restoreBlobLocked(r.points[i].blob, true) == nil {
-			r.points = r.points[:i+1]
-			return nil
-		}
-	}
-	return r.resetLocked()
-}
-
-// maybePointLocked records an in-memory restore point every
-// ReorgWindow blocks, keeping the last two — enough to cover any fork
-// within the ring.
-func (r *Radar) maybePointLocked() error {
-	w := uint64(r.window())
-	if r.cursor == 0 || r.cursor%w != 0 {
-		return nil
-	}
-	blob, err := r.marshalStateLocked()
-	if err != nil {
-		return err
-	}
-	r.points = append(r.points, statePoint{head: r.cursor, blob: blob})
-	if len(r.points) > 2 {
-		r.points = r.points[len(r.points)-2:]
-	}
-	return nil
 }
 
 func (r *Radar) maybeCheckpointLocked() error {
@@ -459,6 +456,7 @@ func (r *Radar) maybeCheckpointLocked() error {
 // for member parties, classified, and run through the admission ladder;
 // then the pending set is retried to fixpoint.
 func (r *Radar) processBlockLocked(ref BlockRef) error {
+	r.journal.Begin(ref.Number)
 	r.m.blocks.Inc()
 	r.m.txs.Add(uint64(len(ref.TxHashes)))
 	for _, h := range ref.TxHashes {
@@ -487,7 +485,7 @@ func (r *Radar) processBlockLocked(ref BlockRef) error {
 			return err
 		}
 		if !admitted {
-			r.pending[h] = pt
+			r.setPendingLocked(h, pt)
 		}
 	}
 	return r.retryPendingLocked(ref.Number)
@@ -497,7 +495,18 @@ func (r *Radar) processBlockLocked(ref BlockRef) error {
 // retry, unless it is already folded in or parked.
 func (r *Radar) parkLocked(h ethtypes.Hash, b uint64) {
 	if _, ok := r.pending[h]; !ok && !r.adm.Classified[h] {
-		r.pending[h] = &pendingTx{block: b}
+		r.setPendingLocked(h, &pendingTx{block: b})
+	}
+}
+
+// setPendingLocked parks pt under h, or unparks h when pt is nil; the
+// edit is journaled.
+func (r *Radar) setPendingLocked(h ethtypes.Hash, pt *pendingTx) {
+	core.JournalKey(r.journal, r.pending, h)
+	if pt == nil {
+		delete(r.pending, h)
+	} else {
+		r.pending[h] = pt
 	}
 }
 
@@ -597,7 +606,7 @@ func (r *Radar) retryPendingLocked(b uint64) error {
 				continue
 			}
 			if r.adm.Classified[h] {
-				delete(r.pending, h)
+				r.setPendingLocked(h, nil)
 				continue
 			}
 			if pt.splits == nil {
@@ -614,9 +623,10 @@ func (r *Radar) retryPendingLocked(b uint64) error {
 				r.feedMembersLocked(tx, rec)
 				splits := r.adm.Classify(tx, rec)
 				if len(splits) == 0 {
-					delete(r.pending, h)
+					r.setPendingLocked(h, nil)
 					continue
 				}
+				core.JournalValue(r.journal, pt)
 				*pt = pendingTx{block: rec.BlockNumber, splits: splits, touching: chain.TouchedAccounts(tx, rec)}
 			}
 			admitted, err := r.admitLocked(h, pt, b)
@@ -624,7 +634,7 @@ func (r *Radar) retryPendingLocked(b uint64) error {
 				return err
 			}
 			if admitted {
-				delete(r.pending, h)
+				r.setPendingLocked(h, nil)
 				changed = true
 			}
 		}

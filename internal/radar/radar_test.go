@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -331,8 +332,8 @@ func TestRadarCheckpointResume(t *testing.T) {
 // TestRadarReorgRollback stages a real reorg: the radar ingests an
 // orphan block carrying the next canonical block's transactions (so
 // admissions and timestamps genuinely diverge), the chain heals, and
-// the radar must roll back through a restore point and reconverge to
-// the batch export.
+// the radar must roll back to the fork and reconverge to the batch
+// export.
 func TestRadarReorgRollback(t *testing.T) {
 	world := genWorld(t, 7)
 	wantDS, wantFams := batchExport(t, world)
@@ -579,5 +580,179 @@ func TestRadarSoakConcurrent(t *testing.T) {
 	}
 	if inj.Faults() == 0 {
 		t.Fatal("fault injector never fired — the soak exercised nothing")
+	}
+}
+
+// TestRadarReorgFeedHasNoDuplicates rolls back to a fork block that is
+// not a multiple of the reorg window and reads the update feed the way
+// a consumer is told to: a reorg entry drops every held entry of a
+// later block. No admission at or below the fork may follow the reorg
+// entry, and the consumer must end up holding each exported account
+// exactly once.
+func TestRadarReorgFeedHasNoDuplicates(t *testing.T) {
+	const window = 32
+	world := genWorld(t, 7)
+	ds, err := (&core.Pipeline{Source: core.LocalSource{Chain: world.Chain}, Labels: world.Labels}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := chain.NewFollower(world.Chain)
+	dst := f.Chain()
+	r, err := radar.New(radar.Config{
+		Source:      core.LocalSource{Chain: dst},
+		Blocks:      radar.ChainBlocks{Chain: dst},
+		Labels:      world.Labels,
+		ReorgWindow: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type account struct{ kind, addr string }
+	held := map[account][]uint64{} // the blocks of the held admissions
+	var after, fork uint64
+	reorged := false
+	consume := func() {
+		t.Helper()
+		ups, _, dropped := r.Updates(after, 0)
+		if dropped {
+			t.Fatal("consumer fell behind the feed")
+		}
+		for _, u := range ups {
+			after = u.Cursor
+			switch u.Kind {
+			case radar.KindReorg:
+				for a, blocks := range held {
+					blocks = slices.DeleteFunc(blocks, func(b uint64) bool { return b > u.Block })
+					if len(blocks) == 0 {
+						delete(held, a)
+					} else {
+						held[a] = blocks
+					}
+				}
+			case radar.KindContract, radar.KindOperator, radar.KindAffiliate:
+				if reorged && u.Block <= fork {
+					t.Fatalf("%s %s admitted at block %d follows the reorg to block %d", u.Kind, u.Address, u.Block, fork)
+				}
+				a := account{u.Kind, u.Address}
+				held[a] = append(held[a], u.Block)
+			}
+		}
+	}
+	step := func() {
+		t.Helper()
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+		consume()
+	}
+
+	// Fork at a block off the window grid, just after an admission.
+	total := int(world.Chain.BlockCount()) - 1
+	for i := 0; i < total/2; i++ {
+		f.Advance()
+	}
+	step()
+	for {
+		fork = r.Status().Cursor
+		recent := false
+		for _, blocks := range held {
+			recent = recent || slices.ContainsFunc(blocks, func(b uint64) bool { return b > fork-fork%window })
+		}
+		if fork%window != 0 && recent {
+			break
+		}
+		if _, ok := f.Advance(); !ok {
+			t.Fatal("no admission off the window grid in the second half of the chain")
+		}
+		step()
+	}
+	radar.MineOrphans(t, world, f, 5)
+	step()
+	f.Heal()
+	reorged = true
+	step()
+	if got := r.Status().Cursor; got != fork {
+		t.Fatalf("rolled back to %d, want %d", got, fork)
+	}
+	for {
+		if _, ok := f.Advance(); !ok {
+			break
+		}
+	}
+	step()
+
+	want := map[account]bool{}
+	for a := range ds.Contracts {
+		want[account{radar.KindContract, a.Hex()}] = true
+	}
+	for a := range ds.Operators {
+		want[account{radar.KindOperator, a.Hex()}] = true
+	}
+	for a := range ds.Affiliates {
+		want[account{radar.KindAffiliate, a.Hex()}] = true
+	}
+	for a, blocks := range held {
+		if len(blocks) != 1 {
+			t.Fatalf("consumer holds %s %s %d times (blocks %v)", a.kind, a.addr, len(blocks), blocks)
+		}
+		if !want[a] {
+			t.Fatalf("consumer holds %s %s, which the batch export lacks", a.kind, a.addr)
+		}
+	}
+	if len(held) != len(want) {
+		t.Fatalf("consumer holds %d accounts, the batch export has %d", len(held), len(want))
+	}
+}
+
+// TestRadarRandomReorgSweep replays a chain while a seeded schedule
+// stages reorgs at random fork points, each orphaning a random number
+// of blocks up to the reorg window. The run must end byte-identical to
+// the batch export.
+func TestRadarRandomReorgSweep(t *testing.T) {
+	const window = 32
+	world := genWorld(t, 7)
+	wantDS, wantFams := batchExport(t, world)
+	f := chain.NewFollower(world.Chain)
+	dst := f.Chain()
+	r, err := radar.New(radar.Config{
+		Source:      core.LocalSource{Chain: dst},
+		Blocks:      radar.ChainBlocks{Chain: dst},
+		Labels:      world.Labels,
+		ReorgWindow: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		t.Helper()
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
+	reorgs := 0
+	for more := true; more; {
+		for n := 1 + rng.Intn(2*window); n > 0 && more; n-- {
+			_, more = f.Advance()
+		}
+		step()
+		if rng.Intn(2) == 0 {
+			radar.MineOrphans(t, world, f, 1+rng.Intn(window))
+			step()
+			f.Heal()
+			step()
+			reorgs++
+		}
+	}
+	if got := r.Status().Reorgs; got != reorgs {
+		t.Fatalf("radar rolled back %d times, the schedule staged %d reorgs", got, reorgs)
+	}
+	gotDS, gotFams := radarExport(t, r)
+	if !bytes.Equal(gotDS, wantDS) {
+		t.Fatal("radar dataset export after random reorgs differs from batch pipeline")
+	}
+	if !bytes.Equal(gotFams, wantFams) {
+		t.Fatal("radar family export after random reorgs differs from batch clusterer")
 	}
 }

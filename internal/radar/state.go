@@ -1,7 +1,6 @@
 package radar
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -42,9 +41,8 @@ type ringJSON struct {
 }
 
 // marshalStateLocked serializes the daemon's full persisted state to
-// checkpoint bytes — used both for the on-disk checkpoint and for
-// in-memory restore points (serialization doubles as a deep copy: the
-// dataset inside a restore point must not alias the live maps).
+// the on-disk checkpoint's bytes. Reorg rollback does not go through
+// it: the undo journal restores the live state in place.
 func (r *Radar) marshalStateLocked() ([]byte, error) {
 	r.recomputeSeedStatsLocked()
 	cblob, err := r.inc.Snapshot()
@@ -75,21 +73,10 @@ func (r *Radar) marshalStateLocked() ([]byte, error) {
 	})
 }
 
-// restoreBlobLocked reinstates a serialized state. keepCounters
-// preserves the live reorg/swap counters and update cursor — required
-// on rollback, where the update feed must stay monotonic; a fresh
-// resume takes them from the blob instead.
-func (r *Radar) restoreBlobLocked(blob []byte, keepCounters bool) error {
-	cp, err := core.ReadRadarCheckpoint(bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	return r.applyCheckpointLocked(cp, keepCounters)
-}
-
 // applyCheckpointLocked installs a decoded checkpoint as the live
-// state.
-func (r *Radar) applyCheckpointLocked(cp *core.RadarCheckpoint, keepCounters bool) error {
+// state, counters and update cursor included, with an empty undo
+// journal: a fork below the checkpoint's head resets to genesis.
+func (r *Radar) applyCheckpointLocked(cp *core.RadarCheckpoint) error {
 	var ext stateExt
 	if len(cp.Radar) == 0 {
 		return fmt.Errorf("radar: checkpoint has no radar state extension")
@@ -133,11 +120,9 @@ func (r *Radar) applyCheckpointLocked(cp *core.RadarCheckpoint, keepCounters boo
 	r.famOf = make(map[ethtypes.Address]string)
 	r.familyCount = 0
 	r.dirty = true // recompile (and re-announce families) after restore
-	if !keepCounters {
-		r.reorgs = ext.Reorgs
-		r.swaps = ext.Swaps
-		r.updateCursor = ext.UpdateCursor
-		r.points = nil
-	}
+	r.reorgs = ext.Reorgs
+	r.swaps = ext.Swaps
+	r.updateCursor = ext.UpdateCursor
+	r.startJournalLocked()
 	return nil
 }

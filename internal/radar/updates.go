@@ -17,9 +17,10 @@ const (
 // Update is one entry in the radar's cursor-ordered event feed.
 // Cursors are monotonically increasing and survive checkpoint/resume,
 // so a consumer polling daas_radarUpdates with its last cursor never
-// sees an entry twice. After a reorg the radar re-emits admissions for
-// the replayed blocks; the interleaved "reorg" entry tells consumers
-// which prefix to invalidate.
+// sees an entry twice. A "reorg" entry carries the fork block: a
+// consumer drops the entries it holds of later blocks, and the radar
+// then emits the admissions of the canonical blocks after the fork,
+// never one at or below it.
 type Update struct {
 	Cursor uint64 `json:"cursor"`
 	Block  uint64 `json:"block"`

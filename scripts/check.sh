@@ -32,7 +32,7 @@ echo "==> screen loadgen: batch schedule deterministic, verdicts byte-identical 
 go test -count=1 -run 'TestScreenScheduleDeterministic|TestScreenSwapUnderLoadByteIdentical' ./internal/loadgen/
 
 echo "==> radar soak: race-checked daemon over a fault-injected chain with a forced reorg, converging to the batch export"
-go test -race -count=1 -run 'TestRadarSoakConcurrent|TestRadarReorgRollback|TestRadarCheckpointResume' ./internal/radar/
+go test -race -count=1 -run 'TestRadarSoakConcurrent|TestRadarReorgRollback|TestRadarCheckpointResume|TestRollbackDepthSweep|TestRadarRandomReorgSweep' ./internal/radar/
 
 echo "==> radar stream: dataset shape deterministic under concurrent screening load"
 go test -count=1 -run 'TestRadarStreamDeterministic' ./internal/loadgen/
