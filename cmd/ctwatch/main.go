@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/crawler"
 	"repro/internal/ct"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sitehunt"
 	"repro/internal/toolkit"
@@ -72,7 +73,7 @@ func main() {
 		Corpus:  toolkit.BuildCorpus(*seed, *fingerprints),
 	}
 	if *verbose {
-		detector.Trace = func(format string, args ...any) { log.Printf(format, args...) }
+		detector.Logger = obs.New(os.Stderr, obs.LevelDebug)
 	}
 
 	if *follow > 0 {

@@ -109,8 +109,8 @@ type Client struct {
 	// quarantine rejections exceed it (integrity.ErrBudgetExceeded) —
 	// the -max-quarantine CLI knob.
 	MaxQuarantine int64
-	// Logger receives structured pipeline progress events; when nil the
-	// legacy Trace callback (if any) is adapted instead.
+	// Logger receives structured pipeline progress events (nil
+	// discards them).
 	Logger *obs.Logger
 	// Metrics, when set, receives per-stage counters and latency
 	// histograms from every pipeline layer; the chain source is then
@@ -120,9 +120,6 @@ type Client struct {
 	// Spans, when set, records hierarchical tracing spans across the
 	// dataset build.
 	Spans *obs.Recorder
-	// Trace, when set, receives pipeline progress lines. Deprecated
-	// shim: new code should set Logger.
-	Trace func(format string, args ...any)
 
 	// stackOnce latches the client's source stack: one integrity layer
 	// serves every pipeline stage, so its transaction pins and
@@ -187,7 +184,6 @@ func (c *Client) BuildDataset() (*Dataset, error) {
 		Logger:          c.Logger,
 		Metrics:         c.Metrics,
 		Spans:           c.Spans,
-		Trace:           c.Trace,
 	}
 	return p.Build()
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/crawler"
 	"repro/internal/ct"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sitehunt"
 	"repro/internal/toolkit"
@@ -52,9 +53,7 @@ func main() {
 		CT:      ct.NewClient(ctServer.URL),
 		Crawler: crawler.New(hosting.URL),
 		Corpus:  toolkit.BuildCorpus(2024, 87),
-		Trace: func(format string, args ...any) {
-			// Print the first few detections as they happen.
-		},
+		Logger:  obs.New(os.Stderr, obs.LevelDebug),
 	}
 	rep, err := detector.Run()
 	if err != nil {

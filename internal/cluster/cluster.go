@@ -5,11 +5,12 @@
 // operators. Families are named from Etherscan operator labels, falling
 // back to the dominant operator's address prefix.
 //
-// Two entry points produce families: the batch Clusterer walks every
-// operator history at once, while Incremental accumulates the same
-// edges block-by-block (the radar daemon's path). Both roll up through
-// the shared materialize step, so identical edge sets yield identical
-// family lists.
+// The edge rules live in Incremental, which accumulates evidence one
+// transaction at a time. The radar daemon feeds it block by block; the
+// batch Clusterer is a driver that feeds it every operator history at
+// once. Both roll up through Incremental.Families and the shared
+// materialize step, so the same member set and edge evidence yield the
+// same family list.
 package cluster
 
 import (
@@ -72,94 +73,55 @@ type Clusterer struct {
 // Cluster runs the two clustering steps and returns families sorted by
 // descending victim activity (split count).
 func (c *Clusterer) Cluster(ds *core.Dataset) ([]*Family, error) {
+	inc, err := c.feed(ds)
+	if err != nil {
+		return nil, err
+	}
+	return inc.Families(ds, c.Degraded), nil
+}
+
+// feed registers every dataset operator with a fresh Incremental and
+// walks their histories through it in address order. A quarantined
+// transaction cannot witness an edge: the operator is marked tainted
+// and the walk continues, so one rotten record degrades a family flag
+// instead of aborting the clustering.
+func (c *Clusterer) feed(ds *core.Dataset) (*Incremental, error) {
 	if c.Source == nil {
 		return nil, fmt.Errorf("cluster: Source is required")
 	}
-	merges := c.Metrics.CounterVec("daas_cluster_union_merges_total", "operator union-find merges per §7.1 edge kind", "edge")
-	ops := make([]ethtypes.Address, 0, len(ds.Operators))
-	for _, rec := range ds.SortedOperators() {
-		ops = append(ops, rec.Address)
+	inc := NewIncremental(c.Labels, c.Metrics)
+	inc.noDirect, inc.noShared = c.DisableDirectEdges, c.DisableSharedAccountEdges
+	ops := ds.SortedOperators()
+	for _, rec := range ops {
+		inc.AddOperator(rec.Address)
 	}
-	uf := newUnionFind(ops)
-
-	// Step 1: connect operators via their transaction histories. A
-	// quarantined transaction cannot witness an edge; the operator is
-	// marked tainted and the walk continues, so one rotten record
-	// degrades a family flag instead of aborting the clustering.
-	tainted := make(map[ethtypes.Address]bool)
-	for a := range c.Degraded {
-		tainted[a] = true
-	}
-	sharedOwner := make(map[ethtypes.Address]ethtypes.Address)
-	for _, op := range ops {
+	for _, rec := range ops {
+		op := rec.Address
 		hashes, err := c.Source.TransactionsOf(op)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: history of %s: %w", op.Short(), err)
 		}
 		for _, h := range hashes {
 			tx, err := c.Source.Transaction(h)
+			if errors.Is(err, core.ErrQuarantined) {
+				inc.ObserveQuarantined(op)
+				continue
+			}
 			if err != nil {
-				if errors.Is(err, core.ErrQuarantined) {
-					tainted[op] = true
-					continue
-				}
 				return nil, err
 			}
-			if tx == nil {
-				tainted[op] = true
-				continue
-			}
-			if tx.To == nil {
-				continue
-			}
-			from, to := tx.From, *tx.To
-			// Direct transfer between two dataset operators.
-			if !c.DisableDirectEdges {
-				_, fromOp := ds.Operators[from]
-				_, toOp := ds.Operators[to]
-				if fromOp && toOp {
-					if uf.union(from, to) {
-						merges.With("direct").Inc()
-					}
-					continue
-				}
-			}
-			// Shared Etherscan-labeled phishing counterparty (plain
-			// accounts only — dataset contracts belong to one operator
-			// by construction and would not witness collaboration).
-			if c.DisableSharedAccountEdges || c.Labels == nil {
-				continue
-			}
-			counterparty, ok := counterpartyOf(op, from, to)
-			if !ok {
-				continue
-			}
-			if _, isContract := ds.Contracts[counterparty]; isContract {
-				continue
-			}
-			if !isEtherscanPhishing(c.Labels, counterparty) {
-				continue
-			}
-			if first, seen := sharedOwner[counterparty]; seen {
-				if uf.union(first, op) {
-					merges.With("shared_counterparty").Inc()
-				}
-			} else {
-				sharedOwner[counterparty] = op
-			}
+			inc.ObserveTx(op, tx)
 		}
 	}
-
-	return materialize(ds, uf, tainted, c.Labels, c.Metrics), nil
+	return inc, nil
 }
 
 // materialize turns a finished operator partition into the family
 // list: §7.1 step 2 contract/affiliate attribution through split
 // records, naming, taint and fingerprint rollups, and the activity
 // sort. Set representatives are first canonicalized to each set's
-// minimum member address, so the result depends only on the partition —
-// never on union-find internals — and the batch and incremental paths
-// agree byte-for-byte.
+// minimum member address, so the result depends only on the partition,
+// never on union-find internals or the order unions were applied in.
 func materialize(ds *core.Dataset, uf *unionFind, tainted map[ethtypes.Address]bool, lbls *labels.Directory, reg *obs.Registry) []*Family {
 	familyGauge := reg.Gauge("daas_cluster_families", "recovered DaaS families")
 
@@ -195,9 +157,11 @@ func materialize(ds *core.Dataset, uf *unionFind, tainted map[ethtypes.Address]b
 	contractAttr := make(map[ethtypes.Address]*attribution)
 	affiliateAttr := make(map[ethtypes.Address]*attribution)
 	rootSplits := make(map[ethtypes.Address]int)
+	opSplits := make(map[ethtypes.Address]int)
 
 	for _, splits := range ds.Splits {
 		for _, sp := range splits {
+			opSplits[sp.Operator]++
 			root, ok := findCanon(sp.Operator)
 			if !ok {
 				continue
@@ -249,7 +213,7 @@ func materialize(ds *core.Dataset, uf *unionFind, tainted map[ethtypes.Address]b
 	assign(affiliateAttr, func(f *Family, a ethtypes.Address) { f.Affiliates = append(f.Affiliates, a) })
 	for root, fam := range byRoot {
 		fam.SplitTxs = rootSplits[root]
-		nameFamily(fam, ds, lbls)
+		nameFamily(fam, lbls, opSplits)
 		for _, op := range fam.Operators {
 			if tainted[op] {
 				fam.Tainted = true
@@ -291,30 +255,10 @@ func materialize(ds *core.Dataset, uf *unionFind, tainted map[ethtypes.Address]b
 	return out
 }
 
-// counterpartyOf returns the other party of a transaction involving op.
-func counterpartyOf(op, from, to ethtypes.Address) (ethtypes.Address, bool) {
-	switch {
-	case from == op:
-		return to, true
-	case to == op:
-		return from, true
-	default:
-		return ethtypes.Address{}, false
-	}
-}
-
-func isEtherscanPhishing(dir *labels.Directory, a ethtypes.Address) bool {
-	for _, l := range dir.Of(a) {
-		if l.Source == labels.SourceEtherscan && l.Category == labels.CategoryPhishing {
-			return true
-		}
-	}
-	return false
-}
-
 // nameFamily applies the §7.1 naming rule: an Etherscan family label on
 // any operator, else the dominant operator's six-hex-character prefix.
-func nameFamily(fam *Family, ds *core.Dataset, lbls *labels.Directory) {
+// opSplits counts the splits each operator received.
+func nameFamily(fam *Family, lbls *labels.Directory, opSplits map[ethtypes.Address]int) {
 	sortAddrs(fam.Operators)
 	if lbls != nil {
 		for _, op := range fam.Operators {
@@ -326,17 +270,11 @@ func nameFamily(fam *Family, ds *core.Dataset, lbls *labels.Directory) {
 		}
 	}
 	// Dominant operator: most splits received.
-	counts := make(map[ethtypes.Address]int)
-	for _, splits := range ds.Splits {
-		for _, sp := range splits {
-			counts[sp.Operator]++
-		}
-	}
 	var dom ethtypes.Address
 	best := -1
 	for _, op := range fam.Operators {
-		if counts[op] > best {
-			best, dom = counts[op], op
+		if opSplits[op] > best {
+			best, dom = opSplits[op], op
 		}
 	}
 	fam.Name = dom.Short()
@@ -351,15 +289,11 @@ type unionFind struct {
 	journal *core.Journal
 }
 
-func newUnionFind(members []ethtypes.Address) *unionFind {
-	uf := &unionFind{
-		parent: make(map[ethtypes.Address]ethtypes.Address, len(members)),
-		rank:   make(map[ethtypes.Address]int, len(members)),
+func newUnionFind() *unionFind {
+	return &unionFind{
+		parent: make(map[ethtypes.Address]ethtypes.Address),
+		rank:   make(map[ethtypes.Address]int),
 	}
-	for _, m := range members {
-		uf.parent[m] = m
-	}
-	return uf
 }
 
 // add registers a as a singleton set; a no-op when already a member.

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -26,15 +27,106 @@ var dataset = func() *core.Dataset {
 	return ds
 }()
 
+// mergingWorld is a world with more operators than families
+// (TestConfig(7), 400 operators per planted family), so §7.1 must merge
+// operators through both edge kinds to recover the planted families.
+// Built on first use and shared.
+var mergingWorld = sync.OnceValues(func() (*worldgen.World, *core.Dataset) {
+	cfg := worldgen.TestConfig(7)
+	for i := range cfg.Families {
+		cfg.Families[i].Operators = 400
+	}
+	w, err := worldgen.Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	ds, err := (&core.Pipeline{Source: core.LocalSource{Chain: w.Chain}, Labels: w.Labels}).Build()
+	if err != nil {
+		panic(err)
+	}
+	return w, ds
+})
+
 func runCluster(t *testing.T, c cluster.Clusterer) []*cluster.Family {
 	t.Helper()
-	c.Source = core.LocalSource{Chain: world.Chain}
-	c.Labels = world.Labels
-	fams, err := c.Cluster(dataset)
+	return clusterWorld(t, world, dataset, c)
+}
+
+// clusterWorld runs c over ds, reading w's chain and labels.
+func clusterWorld(t *testing.T, w *worldgen.World, ds *core.Dataset, c cluster.Clusterer) []*cluster.Family {
+	t.Helper()
+	c.Source = core.LocalSource{Chain: w.Chain}
+	c.Labels = w.Labels
+	fams, err := c.Cluster(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fams
+}
+
+// TestClusterMatchesTruth is the §7.1 reference: on worlds where the
+// paper's rules recover worldgen's ground truth exactly, each planted
+// family comes back as exactly one family, and every dataset operator,
+// contract and affiliate lands in its planted family.
+func TestClusterMatchesTruth(t *testing.T) {
+	mw, mds := mergingWorld()
+	for _, tc := range []struct {
+		name string
+		w    *worldgen.World
+		ds   *core.Dataset
+	}{
+		{"singleton operators", world, dataset},
+		{"merging operators", mw, mds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			truth := tc.w.Truth
+			fams := clusterWorld(t, tc.w, tc.ds, cluster.Clusterer{})
+			if len(fams) != len(tc.w.Plan.Families) {
+				t.Errorf("recovered %d families, want the %d planted", len(fams), len(tc.w.Plan.Families))
+			}
+			names := make(map[int]string)
+			placed := make(map[ethtypes.Address]bool)
+			for _, fam := range fams {
+				want, ok := truth.OperatorFamily[fam.Operators[0]]
+				if !ok {
+					t.Errorf("family %q: operator %s was not planted", fam.Name, fam.Operators[0].Short())
+					continue
+				}
+				if other, dup := names[want]; dup {
+					t.Errorf("planted family %d split into %q and %q", want, other, fam.Name)
+				}
+				names[want] = fam.Name
+				for _, m := range []struct {
+					kind    string
+					members []ethtypes.Address
+					truth   map[ethtypes.Address]int
+				}{
+					{"operator", fam.Operators, truth.OperatorFamily},
+					{"contract", fam.Contracts, truth.ContractFamily},
+					{"affiliate", fam.Affiliates, truth.AffiliateFamily},
+				} {
+					for _, a := range m.members {
+						if got, ok := m.truth[a]; !ok || got != want {
+							t.Errorf("%s %s in family %q (planted %d), want planted %d", m.kind, a.Short(), fam.Name, got, want)
+						}
+						placed[a] = true
+					}
+				}
+			}
+			for _, accts := range []map[ethtypes.Address]*core.AccountRecord{tc.ds.Operators, tc.ds.Affiliates} {
+				for a := range accts {
+					if !placed[a] {
+						t.Errorf("dataset account %s in no family", a.Short())
+					}
+				}
+			}
+			for a := range tc.ds.Contracts {
+				if !placed[a] {
+					t.Errorf("dataset contract %s in no family", a.Short())
+				}
+			}
+		})
+	}
 }
 
 func TestClusterRecoversPlantedFamilies(t *testing.T) {
@@ -113,29 +205,27 @@ func TestClusterDominantFamiliesLeadByActivity(t *testing.T) {
 	}
 }
 
+// TestClusterEdgeAblation pins the family counts of the merging world
+// with each §7.1 edge kind removed: both kinds are load-bearing, and
+// with neither every operator stays a singleton.
 func TestClusterEdgeAblation(t *testing.T) {
-	full := runCluster(t, cluster.Clusterer{})
-	noShared := runCluster(t, cluster.Clusterer{DisableSharedAccountEdges: true})
-	noDirect := runCluster(t, cluster.Clusterer{DisableDirectEdges: true})
-	noBoth := runCluster(t, cluster.Clusterer{DisableSharedAccountEdges: true, DisableDirectEdges: true})
-
-	if len(noShared) < len(full) || len(noDirect) < len(full) {
-		t.Error("removing edges cannot reduce the family count")
-	}
-	// With no edges at all, every operator is its own family.
-	if len(noBoth) != len(dataset.Operators) {
-		t.Errorf("edge-free clustering gave %d families, want %d singletons",
-			len(noBoth), len(dataset.Operators))
-	}
-	// Both edge types must be load-bearing in a multi-operator world.
-	multiOp := false
-	for _, fam := range full {
-		if len(fam.Operators) > 1 {
-			multiOp = true
+	w, ds := mergingWorld()
+	for _, tc := range []struct {
+		name string
+		c    cluster.Clusterer
+		want int
+	}{
+		{"both edges", cluster.Clusterer{}, 9},
+		{"no shared edges", cluster.Clusterer{DisableSharedAccountEdges: true}, 11},
+		{"no direct edges", cluster.Clusterer{DisableDirectEdges: true}, 13},
+		{"no edges", cluster.Clusterer{DisableSharedAccountEdges: true, DisableDirectEdges: true}, len(ds.Operators)},
+	} {
+		if got := len(clusterWorld(t, w, ds, tc.c)); got != tc.want {
+			t.Errorf("%s: %d families, want %d", tc.name, got, tc.want)
 		}
 	}
-	if multiOp && len(noBoth) <= len(full) {
-		t.Error("ablation shows edges carry no information")
+	if len(ds.Operators) != 15 {
+		t.Errorf("merging world has %d operators, want 15", len(ds.Operators))
 	}
 }
 
@@ -157,5 +247,3 @@ func keys(m map[string]bool) []string {
 	}
 	return out
 }
-
-var _ = ethtypes.Address{}

@@ -24,7 +24,7 @@ func chainAddr(i int) ethtypes.Address {
 // chain length.
 func TestFindDeepChainIterative(t *testing.T) {
 	const links = 1_000_000
-	uf := newUnionFind(nil)
+	uf := newUnionFind()
 	uf.add(chainAddr(0))
 	for i := 1; i <= links; i++ {
 		uf.parent[chainAddr(i)] = chainAddr(i - 1)
@@ -59,7 +59,7 @@ func TestFindDeepChainIterative(t *testing.T) {
 // merge.
 func TestUnionAfterDeepChain(t *testing.T) {
 	const links = 100_000
-	uf := newUnionFind(nil)
+	uf := newUnionFind()
 	uf.add(chainAddr(0))
 	for i := 1; i <= links; i++ {
 		uf.parent[chainAddr(i)] = chainAddr(i - 1)

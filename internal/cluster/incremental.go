@@ -11,17 +11,22 @@ import (
 	"repro/internal/obs"
 )
 
-// Incremental accumulates §7.1 clustering evidence one transaction at
-// a time — the radar daemon's path. Direct operator-to-operator edges
-// are unioned the moment both parties are members; shared-counterparty
-// evidence is only recorded, and the unions it implies are applied at
-// rollup time against the final dataset (mirroring the batch walk,
-// which checks counterparties against the finished contract set).
-// Families(ds) therefore returns exactly what the batch Clusterer
-// would compute over the same dataset and edge evidence.
+// Incremental holds the §7.1 edge rules and accumulates their
+// evidence one transaction at a time. Direct operator-to-operator
+// edges are unioned the moment both parties are members;
+// shared-counterparty evidence is only recorded, and the unions it
+// implies are applied at rollup time against the final dataset, whose
+// contract set decides which counterparties count. The radar daemon
+// feeds it block by block; the batch Clusterer feeds it every operator
+// history at once. Either way Families depends only on the member set
+// and the evidence, not on the order it arrived in.
 type Incremental struct {
-	// Labels gates the shared-counterparty edge kind, as in Clusterer.
+	// Labels gates the shared-counterparty edge kind and names
+	// families.
 	Labels *labels.Directory
+
+	// noDirect and noShared carry the Clusterer's ablation switches.
+	noDirect, noShared bool
 
 	uf      *unionFind
 	journal *core.Journal
@@ -42,7 +47,7 @@ type Incremental struct {
 func NewIncremental(lbls *labels.Directory, reg *obs.Registry) *Incremental {
 	return &Incremental{
 		Labels:         lbls,
-		uf:             newUnionFind(nil),
+		uf:             newUnionFind(),
 		tainted:        make(map[ethtypes.Address]bool),
 		counterparties: make(map[ethtypes.Address]map[ethtypes.Address]bool),
 		reg:            reg,
@@ -60,8 +65,8 @@ func (inc *Incremental) SetJournal(j *core.Journal) {
 
 // AddOperator registers a dataset operator as a singleton set. The
 // caller is expected to follow up with ObserveTx over the operator's
-// transaction history, so feed-time membership checks converge to what
-// the batch walk sees.
+// transaction history, so a direct edge observed before both parties
+// were members is seen again.
 func (inc *Incremental) AddOperator(op ethtypes.Address) { inc.uf.add(op) }
 
 // Contains reports whether op has been added.
@@ -81,8 +86,8 @@ func (inc *Incremental) taint(op ethtypes.Address) {
 	}
 }
 
-// ObserveTx feeds one transaction of member operator op — the body of
-// the batch Clusterer's history walk. A nil tx counts as quarantined.
+// ObserveTx feeds one transaction of member operator op. A nil tx
+// counts as quarantined.
 func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 	if tx == nil {
 		inc.taint(op)
@@ -92,17 +97,20 @@ func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 		return
 	}
 	from, to := tx.From, *tx.To
-	// Direct transfer between two member operators.
-	if inc.Contains(from) && inc.Contains(to) {
+	// Direct transfer between two member operators. With direct edges
+	// ablated the transaction is still a shared-counterparty candidate.
+	if !inc.noDirect && inc.Contains(from) && inc.Contains(to) {
 		if inc.uf.union(from, to) {
 			inc.merges.With("direct").Inc()
 		}
 		return
 	}
-	// Shared Etherscan-labeled phishing counterparty. Whether the
-	// counterparty is a dataset contract is a property of the final
-	// dataset, so that exclusion is applied at rollup, not here.
-	if inc.Labels == nil {
+	// Shared Etherscan-labeled phishing counterparty (plain accounts
+	// only — dataset contracts belong to one operator by construction
+	// and would not witness collaboration). Whether the counterparty is
+	// a dataset contract is a property of the final dataset, so that
+	// exclusion is applied at rollup, not here.
+	if inc.noShared || inc.Labels == nil {
 		return
 	}
 	counterparty, ok := counterpartyOf(op, from, to)
@@ -124,15 +132,35 @@ func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 	}
 }
 
+// counterpartyOf returns the other party of a transaction involving op.
+func counterpartyOf(op, from, to ethtypes.Address) (ethtypes.Address, bool) {
+	switch {
+	case from == op:
+		return to, true
+	case to == op:
+		return from, true
+	default:
+		return ethtypes.Address{}, false
+	}
+}
+
+func isEtherscanPhishing(dir *labels.Directory, a ethtypes.Address) bool {
+	for _, l := range dir.Of(a) {
+		if l.Source == labels.SourceEtherscan && l.Category == labels.CategoryPhishing {
+			return true
+		}
+	}
+	return false
+}
+
 // Families rolls the accumulated evidence up into the family list for
 // ds. The union-find is cloned, the deferred shared-counterparty
 // unions are applied (skipping counterparties that ended up in the
-// dataset's contract set, exactly as the batch walk does), degraded
-// accounts are merged into the taint set, and the shared materialize
-// step produces the families. The clustering state is not mutated, so
-// rollups can run per update batch; each rollup re-applies the same
-// deferred unions, so the merge counter only takes those past the
-// previous rollup's count.
+// dataset's contract set), degraded accounts are merged into the taint
+// set, and materialize produces the families. The clustering state is
+// not mutated, so rollups can run per update batch; each rollup
+// re-applies the same deferred unions, so the merge counter only takes
+// those past the previous rollup's count.
 func (inc *Incremental) Families(ds *core.Dataset, degraded map[ethtypes.Address]bool) []*Family {
 	uf := inc.uf.clone()
 	var shared uint64
@@ -256,7 +284,7 @@ func (inc *Incremental) Restore(blob []byte) error {
 	if err := json.Unmarshal(blob, &in); err != nil {
 		return fmt.Errorf("cluster: decoding incremental snapshot: %w", err)
 	}
-	inc.uf = newUnionFind(nil)
+	inc.uf = newUnionFind()
 	inc.tainted = make(map[ethtypes.Address]bool)
 	inc.counterparties = make(map[ethtypes.Address]map[ethtypes.Address]bool)
 	for _, s := range in.Members {

@@ -12,56 +12,34 @@ import (
 	"repro/internal/worldgen"
 )
 
-// feedIncremental replays every dataset operator's history through an
-// incremental clusterer, the way the radar daemon feeds it.
-func feedIncremental(t *testing.T, inc *cluster.Incremental) {
+// feed replays every dataset operator's history through a fresh
+// incremental clusterer, the batch Clusterer's walk, and returns it
+// before rollup.
+func feed(t *testing.T, w *worldgen.World, ds *core.Dataset, reg *obs.Registry) *cluster.Incremental {
 	t.Helper()
-	src := core.LocalSource{Chain: world.Chain}
-	for _, rec := range dataset.SortedOperators() {
-		inc.AddOperator(rec.Address)
+	inc, err := cluster.Feed(&cluster.Clusterer{Source: core.LocalSource{Chain: w.Chain}, Labels: w.Labels, Metrics: reg}, ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, rec := range dataset.SortedOperators() {
-		hashes, err := src.TransactionsOf(rec.Address)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range hashes {
-			tx, err := src.Transaction(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc.ObserveTx(rec.Address, tx)
-		}
-	}
-}
-
-// TestIncrementalMatchesBatch is the §7.1 equivalence contract: the
-// incremental feed over the same histories must produce exactly the
-// batch Clusterer's family list.
-func TestIncrementalMatchesBatch(t *testing.T) {
-	batch := runCluster(t, cluster.Clusterer{})
-
-	inc := cluster.NewIncremental(world.Labels, nil)
-	feedIncremental(t, inc)
-	fams := inc.Families(dataset, nil)
-
-	if !reflect.DeepEqual(fams, batch) {
-		t.Fatalf("incremental families diverge from batch:\nincremental: %+v\nbatch: %+v", summarize(fams), summarize(batch))
-	}
+	return inc
 }
 
 // TestIncrementalSnapshotRoundTrip checks that Snapshot/Restore is
 // lossless and deterministic: the restored clusterer yields the same
-// families, and re-snapshotting yields identical bytes.
+// families, and re-snapshotting yields identical bytes. The merging
+// world puts union groups and counterparty evidence in the snapshot.
 func TestIncrementalSnapshotRoundTrip(t *testing.T) {
-	inc := cluster.NewIncremental(world.Labels, nil)
-	feedIncremental(t, inc)
+	w, ds := mergingWorld()
+	inc := feed(t, w, ds, nil)
 	blob, err := inc.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Contains(blob, []byte(`"groups"`)) || !bytes.Contains(blob, []byte(`"counterparties"`)) {
+		t.Fatalf("snapshot carries no groups or counterparty evidence; the round trip would be vacuous:\n%s", blob)
+	}
 
-	restored := cluster.NewIncremental(world.Labels, nil)
+	restored := cluster.NewIncremental(w.Labels, nil)
 	if err := restored.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +50,16 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, blob2) {
 		t.Fatalf("snapshot not stable across restore:\n%s\nvs\n%s", blob, blob2)
 	}
-	if got, want := restored.Families(dataset, nil), inc.Families(dataset, nil); !reflect.DeepEqual(got, want) {
+	if got, want := restored.Families(ds, nil), inc.Families(ds, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored families diverge:\nrestored: %+v\noriginal: %+v", summarize(got), summarize(want))
 	}
 }
 
-// TestIncrementalDegradedTaint mirrors the batch Degraded pass-through.
+// TestIncrementalDegradedTaint checks the Degraded pass-through: a
+// degraded operator taints its family even when clustering itself saw
+// no quarantined record.
 func TestIncrementalDegradedTaint(t *testing.T) {
-	inc := cluster.NewIncremental(world.Labels, nil)
-	feedIncremental(t, inc)
+	inc := feed(t, world, dataset, nil)
 	clean := inc.Families(dataset, nil)
 	for _, fam := range clean {
 		if fam.Tainted {
@@ -112,58 +91,23 @@ func summarize(fams []*cluster.Family) []string {
 
 // TestIncrementalFamiliesCountsMergesOnce: every rollup re-applies the
 // deferred shared-counterparty unions on a clone, but a union is
-// counted in daas_cluster_union_merges_total only the first time.
+// counted in daas_cluster_union_merges_total only the first time. Each
+// merge joins two sets, so the counted merges of both edge kinds must
+// add up to operators minus families.
 func TestIncrementalFamiliesCountsMergesOnce(t *testing.T) {
-	// More operators than families forces both §7.1 edge kinds to merge.
-	cfg := worldgen.TestConfig(77)
-	for i := range cfg.Families {
-		cfg.Families[i].Operators = 400
-	}
-	w, err := worldgen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := core.LocalSource{Chain: w.Chain}
-	ds, err := (&core.Pipeline{Source: src, Labels: w.Labels}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchReg := obs.NewRegistry()
-	if _, err := (&cluster.Clusterer{Source: src, Labels: w.Labels, Metrics: batchReg}).Cluster(ds); err != nil {
-		t.Fatal(err)
-	}
-
+	w, ds := mergingWorld()
 	reg := obs.NewRegistry()
-	inc := cluster.NewIncremental(w.Labels, reg)
-	for _, rec := range ds.SortedOperators() {
-		inc.AddOperator(rec.Address)
-	}
-	for _, rec := range ds.SortedOperators() {
-		hashes, err := src.TransactionsOf(rec.Address)
-		if err != nil {
-			t.Fatal(err)
+	inc := feed(t, w, ds, reg)
+	merges := reg.CounterVec("daas_cluster_union_merges_total", "", "edge")
+	for i := 1; i <= 2; i++ {
+		fams := inc.Families(ds, nil)
+		direct, shared := merges.With("direct").Value(), merges.With("shared_counterparty").Value()
+		if direct == 0 || shared == 0 {
+			t.Fatalf("rollup %d: %d direct and %d shared-counterparty merges; the check would be vacuous", i, direct, shared)
 		}
-		for _, h := range hashes {
-			tx, err := src.Transaction(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc.ObserveTx(rec.Address, tx)
+		if want := uint64(len(ds.Operators) - len(fams)); direct+shared != want {
+			t.Fatalf("rollup %d: counted %d direct + %d shared-counterparty merges, want %d in all (%d operators, %d families)",
+				i, direct, shared, want, len(ds.Operators), len(fams))
 		}
-	}
-	shared := func(r *obs.Registry) uint64 {
-		return r.CounterVec("daas_cluster_union_merges_total", "", "edge").With("shared_counterparty").Value()
-	}
-	want := shared(batchReg)
-	if want == 0 {
-		t.Fatal("world has no shared-counterparty merge; the check would be vacuous")
-	}
-	inc.Families(ds, nil)
-	if got := shared(reg); got != want {
-		t.Fatalf("first rollup counted %d shared-counterparty merges, batch clusterer %d", got, want)
-	}
-	inc.Families(ds, nil)
-	if got := shared(reg); got != want {
-		t.Fatalf("second rollup moved the shared-counterparty merge counter to %d, want %d", got, want)
 	}
 }

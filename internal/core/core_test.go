@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -385,4 +387,86 @@ func TestConcurrentBuildIsByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// quarantineInAbsorb serves a chain but reports one transaction as
+// quarantined on its first fetch after its contract's history is
+// listed, i.e. inside the contract's absorb, and serves it on every
+// later fetch: the integrity layer refusing a record that arrives
+// corrupt once and accepting it on a later read. The build is serial,
+// so no locking is needed.
+type quarantineInAbsorb struct {
+	core.ChainSource
+	contract ethtypes.Address
+	hash     ethtypes.Hash
+
+	armed, refused bool
+	// refetches counts fetches of hash after the refusal.
+	refetches int
+}
+
+func (q *quarantineInAbsorb) TransactionsOf(a ethtypes.Address) ([]ethtypes.Hash, error) {
+	if a == q.contract && !q.refused {
+		q.armed = true
+	}
+	return q.ChainSource.TransactionsOf(a)
+}
+
+func (q *quarantineInAbsorb) Transaction(h ethtypes.Hash) (*chain.Transaction, error) {
+	if h == q.hash {
+		switch {
+		case q.refused:
+			q.refetches++
+		case q.armed:
+			q.refused = true
+			return nil, fmt.Errorf("test: %s: %w", h, core.ErrQuarantined)
+		}
+	}
+	return q.ChainSource.Transaction(h)
+}
+
+// TestQuarantinedAbsorbRecordFoldedByLaterScan reaches the batch
+// known-contract path (mergeScan into Admission.Fold): a split
+// transaction is quarantined while its contract is absorbed, and a
+// later frontier scan fetches it and folds it into the now-known
+// contract. The export must equal the fault-free build's. Expansion
+// contracts only: a record missing from a seed absorb is legitimately
+// missing from the frozen seed statistics.
+func TestQuarantinedAbsorbRecordFoldedByLaterScan(t *testing.T) {
+	w := sharedWorld
+	clean := exportJSON(t, w, 1, 0)
+	ds := buildDataset(t, w)
+
+	hashes := make([]ethtypes.Hash, 0, len(ds.Splits))
+	for h, splits := range ds.Splits {
+		if ds.Contracts[splits[0].Contract].Found == core.DiscoveryExpansion {
+			hashes = append(hashes, h)
+		}
+	}
+	sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
+	// The first split whose refused record a later scan re-reads; a
+	// record no later scan reaches stays quarantined, which is the
+	// coverage ledger's business, not this path's.
+	for _, h := range hashes {
+		src := &quarantineInAbsorb{ChainSource: core.LocalSource{Chain: w.Chain}, contract: ds.Splits[h][0].Contract, hash: h}
+		got, err := (&core.Pipeline{Source: src, Labels: w.Labels}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !src.refused {
+			t.Fatalf("split %s was never fetched inside its contract's absorb", h)
+		}
+		if src.refetches == 0 {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := got.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), clean) {
+			t.Fatalf("split %s quarantined in its absorb and folded by a later scan: export differs from the fault-free build", h)
+		}
+		return
+	}
+	t.Fatalf("no later scan re-read any of %d expansion splits quarantined in an absorb; the known-contract path went untested", len(hashes))
 }

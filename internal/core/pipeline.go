@@ -65,9 +65,7 @@ type Pipeline struct {
 	// still scanned and NOT fixpointed away silently — its gap count is
 	// what the report manifest surfaces.
 	Coverage *Coverage
-	// Logger receives structured progress events. When nil, the legacy
-	// Trace callback (if any) is adapted into a logger, so existing
-	// Trace users keep working unchanged.
+	// Logger receives structured progress events (nil discards them).
 	Logger *obs.Logger
 	// Metrics, when set, receives per-stage counters, gauges, and
 	// histograms (see the README's Observability section for names).
@@ -75,14 +73,8 @@ type Pipeline struct {
 	// Spans, when set, records hierarchical tracing spans for the build
 	// and each expansion iteration.
 	Spans *obs.Recorder
-	// Trace, when set, receives progress lines. Deprecated shim: new
-	// code should set Logger; Trace is wrapped in an obs.Logger adapter
-	// when Logger is nil.
-	Trace func(format string, args ...any)
 
-	traceOnce sync.Once
-	traceLog  *obs.Logger
-	pm        pipelineMetrics
+	pm pipelineMetrics
 }
 
 // pipelineMetrics caches the pipeline's instruments so hot loops touch
@@ -113,19 +105,6 @@ func newPipelineMetrics(r *obs.Registry) pipelineMetrics {
 		ckptLastIter:    r.Gauge("daas_checkpoint_last_iteration", "expansion iterations completed at the most recent checkpoint"),
 		degradedAccts:   r.Gauge("daas_pipeline_degraded_accounts", "accounts whose histories are partially scanned due to quarantined records"),
 	}
-}
-
-// logger returns the structured logger, adapting the legacy Trace
-// callback when no Logger is set. A nil result is safe to log to.
-func (p *Pipeline) logger() *obs.Logger {
-	if p.Logger != nil {
-		return p.Logger
-	}
-	if p.Trace == nil {
-		return nil
-	}
-	p.traceOnce.Do(func() { p.traceLog = obs.NewCallback(p.Trace) })
-	return p.traceLog
 }
 
 // runWorkers executes fn over n indexed jobs with up to workers
@@ -304,7 +283,7 @@ func (p *Pipeline) Build() (*Dataset, error) {
 		iterSpan.SetAttr("contracts", after.Contracts)
 		iterSpan.SetAttr("profit_txs", after.ProfitTxs)
 		iterSpan.End()
-		p.logger().Info("step 4: expansion iteration finished",
+		p.Logger.Info("step 4: expansion iteration finished",
 			"iter", iter+1,
 			"frontier", len(frontier),
 			"contracts", after.Contracts,
@@ -349,14 +328,14 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 			st.quarantine = p.Quarantine
 			st.cov = p.Coverage
 			stats := st.ds.Stats()
-			p.logger().Info("resumed from checkpoint",
+			p.Logger.Info("resumed from checkpoint",
 				"path", p.CheckpointPath,
 				"iterations_done", st.iterations,
 				"contracts", stats.Contracts,
 				"pending_accounts", len(st.tracker.ops)+len(st.tracker.affs))
 			return st, nil
 		}
-		p.logger().Info("no checkpoint on disk, building from seed", "path", p.CheckpointPath)
+		p.Logger.Info("no checkpoint on disk, building from seed", "path", p.CheckpointPath)
 	}
 
 	st := &buildState{
@@ -384,7 +363,7 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 	}
 	collect.SetAttr("contracts", len(seedContracts))
 	collect.End()
-	p.logger().Info("step 1: labeled phishing contracts collected", "contracts", len(seedContracts))
+	p.Logger.Info("step 1: labeled phishing contracts collected", "contracts", len(seedContracts))
 
 	// Step 2 + 3: identify profit-sharing contracts among the reports
 	// and extract operator/affiliate accounts — the seed dataset.
@@ -400,7 +379,7 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 	absorb.SetAttr("contracts", st.ds.SeedStats.Contracts)
 	absorb.SetAttr("profit_txs", st.ds.SeedStats.ProfitTxs)
 	absorb.End()
-	p.logger().Info("step 3: seed dataset built",
+	p.Logger.Info("step 3: seed dataset built",
 		"contracts", st.ds.SeedStats.Contracts,
 		"operators", st.ds.SeedStats.Operators,
 		"affiliates", st.ds.SeedStats.Affiliates,
@@ -430,7 +409,7 @@ func (p *Pipeline) checkpoint(st *buildState) error {
 	p.pm.ckptWrites.Inc()
 	p.pm.ckptBytes.Set(n)
 	p.pm.ckptLastIter.Set(int64(st.iterations))
-	p.logger().Debug("checkpoint written",
+	p.Logger.Debug("checkpoint written",
 		"path", p.CheckpointPath,
 		"bytes", n,
 		"iterations_done", st.iterations)
@@ -567,7 +546,7 @@ func (p *Pipeline) scanAccount(ctx context.Context, adm *Admission, acct ethtype
 func (p *Pipeline) mergeScan(ctx context.Context, adm *Admission, acct ethtypes.Address, out scanOutcome) error {
 	if out.quarantined > 0 {
 		p.Coverage.NoteQuarantined(acct, out.quarantined)
-		p.logger().Info("account degraded: quarantined records in history",
+		p.Logger.Info("account degraded: quarantined records in history",
 			"account", acct.Short(), "quarantined", out.quarantined)
 	}
 	for i, h := range out.fresh {
@@ -603,7 +582,7 @@ func (p *Pipeline) mergeScan(ctx context.Context, adm *Admission, acct ethtypes.
 func (p *Pipeline) absorbContract(ctx context.Context, adm *Admission, addr ethtypes.Address, found Discovery) error {
 	if p.staticSkip(addr) {
 		p.pm.prefilterSkips.Inc()
-		p.logger().Debug("static pre-filter: contract cannot split value, skipping history scan",
+		p.Logger.Debug("static pre-filter: contract cannot split value, skipping history scan",
 			"contract", addr.Short())
 		return nil
 	}

@@ -64,39 +64,17 @@ type Logger struct {
 
 // sink is the shared output half of a logger family.
 type sink struct {
-	mu       sync.Mutex
-	w        io.Writer
-	level    atomic.Int32
-	withTime bool
-	now      func() time.Time
+	mu    sync.Mutex
+	w     io.Writer
+	level atomic.Int32
+	now   func() time.Time
 }
 
 // New returns a logger writing key=value lines at or above level to w.
 func New(w io.Writer, level Level) *Logger {
-	s := &sink{w: w, withTime: true, now: time.Now}
+	s := &sink{w: w, now: time.Now}
 	s.level.Store(int32(level))
 	return &Logger{sink: s}
-}
-
-// NewCallback adapts a printf-style callback — the shape of the legacy
-// Trace hooks — into a Logger: each line is rendered without a
-// timestamp (the callback's own logger usually adds one) and handed to
-// fn as a single pre-formatted string.
-func NewCallback(fn func(format string, args ...any)) *Logger {
-	if fn == nil {
-		return nil
-	}
-	return &Logger{sink: &sink{w: callbackWriter{fn}, withTime: false, now: time.Now}}
-}
-
-// callbackWriter forwards complete lines to a printf-style callback.
-type callbackWriter struct {
-	fn func(format string, args ...any)
-}
-
-func (cw callbackWriter) Write(p []byte) (int, error) {
-	cw.fn("%s", string(bytes.TrimRight(p, "\n")))
-	return len(p), nil
 }
 
 // SetLevel changes the minimum emitted level.
@@ -143,11 +121,9 @@ func (l *Logger) Log(level Level, msg string, kv ...any) {
 		return
 	}
 	var b bytes.Buffer
-	if l.sink.withTime {
-		b.WriteString("time=")
-		b.WriteString(l.sink.now().UTC().Format(time.RFC3339Nano))
-		b.WriteByte(' ')
-	}
+	b.WriteString("time=")
+	b.WriteString(l.sink.now().UTC().Format(time.RFC3339Nano))
+	b.WriteByte(' ')
 	b.WriteString("level=")
 	b.WriteString(level.String())
 	b.WriteString(" msg=")

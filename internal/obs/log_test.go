@@ -7,14 +7,21 @@ import (
 	"testing"
 )
 
-// capture collects lines through the NewCallback adapter, which renders
-// records without timestamps — convenient for exact-match assertions.
+// capture returns a logger that collects one line per record with the
+// leading time= field cut off, for exact-match assertions.
 func capture() (*Logger, *[]string) {
 	lines := new([]string)
-	l := NewCallback(func(format string, args ...any) {
-		*lines = append(*lines, fmt.Sprintf(format, args...))
-	})
-	return l, lines
+	return New(lineWriter{lines}, LevelDebug), lines
+}
+
+// lineWriter appends each record it is handed to lines, without its
+// time= field and trailing newline.
+type lineWriter struct{ lines *[]string }
+
+func (w lineWriter) Write(p []byte) (int, error) {
+	_, rest, _ := strings.Cut(strings.TrimSuffix(string(p), "\n"), " ")
+	*w.lines = append(*w.lines, rest)
+	return len(p), nil
 }
 
 func TestLoggerFormat(t *testing.T) {
@@ -94,12 +101,6 @@ func TestLoggerTimestamp(t *testing.T) {
 	}
 	if !strings.Contains(line, `level=info msg=hello`) {
 		t.Fatalf("unexpected line: %q", line)
-	}
-}
-
-func TestNewCallbackNil(t *testing.T) {
-	if l := NewCallback(nil); l != nil {
-		t.Fatal("NewCallback(nil) should return a nil (no-op) logger")
 	}
 }
 

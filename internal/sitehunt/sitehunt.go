@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/crawler"
@@ -68,20 +67,12 @@ type Detector struct {
 	Corpus  *toolkit.Corpus
 	// SimilarityThreshold defaults to domains.SimilarityThreshold.
 	SimilarityThreshold float64
-	// Logger receives structured progress events. When nil, the legacy
-	// Trace callback (if any) is adapted, so existing Trace users keep
-	// working unchanged.
+	// Logger receives structured progress events (nil discards them).
 	Logger *obs.Logger
 	// Metrics, when set, receives the §8.2 funnel counters
 	// (daas_funnel_* metric names): every stage from CT certificate
 	// ingestion down to confirmed toolkit matches.
 	Metrics *obs.Registry
-	// Trace, when set, receives progress lines. Deprecated shim: new
-	// code should set Logger.
-	Trace func(format string, args ...any)
-
-	traceOnce sync.Once
-	traceLog  *obs.Logger
 }
 
 // funnelMetrics caches the detector's instruments; all nil (no-op)
@@ -108,19 +99,6 @@ func newFunnelMetrics(r *obs.Registry) funnelMetrics {
 		matches:    r.CounterVec("daas_funnel_toolkit_matches_total", "toolkit fingerprint matches per drainer family (§8.2 step 3)", "family"),
 		detections: r.Counter("daas_funnel_detections_total", "confirmed phishing websites"),
 	}
-}
-
-// logger returns the structured logger, adapting the legacy Trace
-// callback when no Logger is set.
-func (d *Detector) logger() *obs.Logger {
-	if d.Logger != nil {
-		return d.Logger
-	}
-	if d.Trace == nil {
-		return nil
-	}
-	d.traceOnce.Do(func() { d.traceLog = obs.NewCallback(d.Trace) })
-	return d.traceLog
 }
 
 // Run drains the CT log and processes every new certificate, returning
@@ -155,7 +133,7 @@ func (d *Detector) Run() (*Report, error) {
 				// monitors a live log; skip it and keep the count.
 				report.BadCerts++
 				fm.badCerts.Inc()
-				d.logger().Debug("skipping unparseable certificate", "index", e.Index, "err", err.Error())
+				d.Logger.Debug("skipping unparseable certificate", "index", e.Index, "err", err.Error())
 				continue
 			}
 			for _, domain := range names {
@@ -192,7 +170,7 @@ func (d *Detector) Run() (*Report, error) {
 					Keyword: match.Keyword,
 				})
 				phishingDomains = append(phishingDomains, domain)
-				d.logger().Info("phishing website detected",
+				d.Logger.Info("phishing website detected",
 					"domain", domain, "family", verdict.Family, "keyword", match.Keyword)
 			}
 		}

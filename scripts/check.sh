@@ -34,6 +34,9 @@ go test -count=1 -run 'TestScreenScheduleDeterministic|TestScreenSwapUnderLoadBy
 echo "==> radar soak: race-checked daemon over a fault-injected chain with a forced reorg, converging to the batch export"
 go test -race -count=1 -run 'TestRadarSoakConcurrent|TestRadarReorgRollback|TestRadarCheckpointResume|TestRollbackDepthSweep|TestRadarRandomReorgSweep' ./internal/radar/
 
+echo "==> cluster truth: §7.1 recovers worldgen's planted families; both edge kinds are load-bearing"
+go test -count=1 -run 'TestClusterMatchesTruth|TestClusterEdgeAblation' ./internal/cluster/
+
 echo "==> radar stream: dataset shape deterministic under concurrent screening load"
 go test -count=1 -run 'TestRadarStreamDeterministic' ./internal/loadgen/
 
