@@ -8,15 +8,16 @@
 // The edge rules live in Incremental, which accumulates evidence one
 // transaction at a time. The radar daemon feeds it block by block; the
 // batch Clusterer is a driver that feeds it every operator history at
-// once. Both roll up through Incremental.Families and the shared
-// materialize step, so the same member set and edge evidence yield the
-// same family list.
+// once. Both roll up through Incremental.Rollup, so the same member set
+// and edge evidence yield the same family list.
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,6 +49,16 @@ type Family struct {
 	// name (populated when the dataset was annotated by the static
 	// screen; nil otherwise).
 	Fingerprints map[string]int
+}
+
+// Clone returns a deep copy of f, which the caller may modify.
+func (f *Family) Clone() *Family {
+	c := *f
+	c.Operators = slices.Clone(f.Operators)
+	c.Contracts = slices.Clone(f.Contracts)
+	c.Affiliates = slices.Clone(f.Affiliates)
+	c.Fingerprints = maps.Clone(f.Fingerprints)
+	return &c
 }
 
 // Clusterer groups a dataset into families.
@@ -116,145 +127,6 @@ func (c *Clusterer) feed(ds *core.Dataset) (*Incremental, error) {
 	return inc, nil
 }
 
-// materialize turns a finished operator partition into the family
-// list: §7.1 step 2 contract/affiliate attribution through split
-// records, naming, taint and fingerprint rollups, and the activity
-// sort. Set representatives are first canonicalized to each set's
-// minimum member address, so the result depends only on the partition,
-// never on union-find internals or the order unions were applied in.
-func materialize(ds *core.Dataset, uf *unionFind, tainted map[ethtypes.Address]bool, lbls *labels.Directory, reg *obs.Registry) []*Family {
-	familyGauge := reg.Gauge("daas_cluster_families", "recovered DaaS families")
-
-	ops := make([]ethtypes.Address, 0, len(ds.Operators))
-	for _, rec := range ds.SortedOperators() {
-		ops = append(ops, rec.Address)
-	}
-	// ops is sorted ascending, so the first member seen per root is the
-	// set minimum — the canonical representative.
-	canon := make(map[ethtypes.Address]ethtypes.Address, len(ops))
-	for _, op := range ops {
-		root, ok := uf.find(op)
-		if !ok {
-			continue
-		}
-		if _, seen := canon[root]; !seen {
-			canon[root] = op
-		}
-	}
-	findCanon := func(a ethtypes.Address) (ethtypes.Address, bool) {
-		root, ok := uf.find(a)
-		if !ok {
-			return ethtypes.Address{}, false
-		}
-		return canon[root], true
-	}
-
-	// Step 2: attribute contracts and affiliates through split records.
-	type attribution struct {
-		votes map[ethtypes.Address]int // canonical operator root -> votes
-	}
-	newAttr := func() *attribution { return &attribution{votes: make(map[ethtypes.Address]int)} }
-	contractAttr := make(map[ethtypes.Address]*attribution)
-	affiliateAttr := make(map[ethtypes.Address]*attribution)
-	rootSplits := make(map[ethtypes.Address]int)
-	opSplits := make(map[ethtypes.Address]int)
-
-	for _, splits := range ds.Splits {
-		for _, sp := range splits {
-			opSplits[sp.Operator]++
-			root, ok := findCanon(sp.Operator)
-			if !ok {
-				continue
-			}
-			if contractAttr[sp.Contract] == nil {
-				contractAttr[sp.Contract] = newAttr()
-			}
-			contractAttr[sp.Contract].votes[root]++
-			if affiliateAttr[sp.Affiliate] == nil {
-				affiliateAttr[sp.Affiliate] = newAttr()
-			}
-			affiliateAttr[sp.Affiliate].votes[root]++
-			rootSplits[root]++
-		}
-	}
-
-	// Materialize families.
-	byRoot := make(map[ethtypes.Address]*Family)
-	for _, op := range ops {
-		root, _ := findCanon(op)
-		fam := byRoot[root]
-		if fam == nil {
-			fam = &Family{}
-			byRoot[root] = fam
-		}
-		fam.Operators = append(fam.Operators, op)
-	}
-	assign := func(attrs map[ethtypes.Address]*attribution, into func(*Family, ethtypes.Address)) {
-		addrs := make([]ethtypes.Address, 0, len(attrs))
-		for a := range attrs {
-			addrs = append(addrs, a)
-		}
-		sortAddrs(addrs)
-		for _, a := range addrs {
-			attr := attrs[a]
-			var bestRoot ethtypes.Address
-			best := -1
-			for root, votes := range attr.votes {
-				if votes > best || (votes == best && addrLess(root, bestRoot)) {
-					best, bestRoot = votes, root
-				}
-			}
-			if fam := byRoot[bestRoot]; fam != nil {
-				into(fam, a)
-			}
-		}
-	}
-	assign(contractAttr, func(f *Family, a ethtypes.Address) { f.Contracts = append(f.Contracts, a) })
-	assign(affiliateAttr, func(f *Family, a ethtypes.Address) { f.Affiliates = append(f.Affiliates, a) })
-	for root, fam := range byRoot {
-		fam.SplitTxs = rootSplits[root]
-		nameFamily(fam, lbls, opSplits)
-		for _, op := range fam.Operators {
-			if tainted[op] {
-				fam.Tainted = true
-				break
-			}
-		}
-		for _, con := range fam.Contracts {
-			rec := ds.Contracts[con]
-			if rec == nil {
-				continue
-			}
-			for _, fp := range rec.Fingerprints {
-				if fam.Fingerprints == nil {
-					fam.Fingerprints = make(map[string]int)
-				}
-				fam.Fingerprints[fp]++
-			}
-		}
-	}
-
-	familyGauge.Set(int64(len(byRoot)))
-	var taintedFams int64
-	for _, fam := range byRoot {
-		if fam.Tainted {
-			taintedFams++
-		}
-	}
-	reg.Gauge("daas_cluster_tainted_families", "families whose evidence touched quarantined records").Set(taintedFams)
-	out := make([]*Family, 0, len(byRoot))
-	for _, fam := range byRoot {
-		out = append(out, fam)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SplitTxs != out[j].SplitTxs {
-			return out[i].SplitTxs > out[j].SplitTxs
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // nameFamily applies the §7.1 naming rule: an Etherscan family label on
 // any operator, else the dominant operator's six-hex-character prefix.
 // opSplits counts the splits each operator received.
@@ -284,6 +156,8 @@ func nameFamily(fam *Family, lbls *labels.Directory, opSplits map[ethtypes.Addre
 type unionFind struct {
 	parent map[ethtypes.Address]ethtypes.Address
 	rank   map[ethtypes.Address]int
+	// sets counts the disjoint sets.
+	sets int
 	// journal, when set, records the inverse of every parent and rank
 	// write, path compression included.
 	journal *core.Journal
@@ -301,13 +175,15 @@ func (uf *unionFind) add(a ethtypes.Address) {
 	if _, ok := uf.parent[a]; !ok {
 		core.JournalKey(uf.journal, uf.parent, a)
 		uf.parent[a] = a
+		core.JournalValue(uf.journal, &uf.sets)
+		uf.sets++
 	}
 }
 
 // clone returns an independent copy sharing no state with the
 // original; the copy journals nothing.
 func (uf *unionFind) clone() *unionFind {
-	return &unionFind{parent: maps.Clone(uf.parent), rank: maps.Clone(uf.rank)}
+	return &unionFind{parent: maps.Clone(uf.parent), rank: maps.Clone(uf.rank), sets: uf.sets}
 }
 
 // find returns the set representative of a, compressing the walked
@@ -348,6 +224,8 @@ func (uf *unionFind) union(a, b ethtypes.Address) bool {
 	}
 	core.JournalKey(uf.journal, uf.parent, rb)
 	uf.parent[rb] = ra
+	core.JournalValue(uf.journal, &uf.sets)
+	uf.sets--
 	if uf.rank[ra] == uf.rank[rb] {
 		core.JournalKey(uf.journal, uf.rank, ra)
 		uf.rank[ra]++
@@ -359,11 +237,6 @@ func sortAddrs(addrs []ethtypes.Address) {
 	sort.Slice(addrs, func(i, j int) bool { return addrLess(addrs[i], addrs[j]) })
 }
 
-func addrLess(a, b ethtypes.Address) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
+func addrLess(a, b ethtypes.Address) bool { return addrCompare(a, b) < 0 }
+
+func addrCompare(a, b ethtypes.Address) int { return bytes.Compare(a[:], b[:]) }

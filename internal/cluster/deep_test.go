@@ -71,8 +71,8 @@ func TestUnionAfterDeepChain(t *testing.T) {
 	if !uf.union(chainAddr(links), chainAddr(2*links)) {
 		t.Fatalf("union of two distinct chains reported no merge")
 	}
-	ra, _ := uf.find(chainAddr(links/2))
-	rb, _ := uf.find(chainAddr(links+links/2))
+	ra, _ := uf.find(chainAddr(links / 2))
+	rb, _ := uf.find(chainAddr(links + links/2))
 	if ra != rb {
 		t.Fatalf("roots differ after union: %s vs %s", ra, rb)
 	}

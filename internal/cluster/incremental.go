@@ -20,6 +20,10 @@ import (
 // feeds it block by block; the batch Clusterer feeds it every operator
 // history at once. Either way Families depends only on the member set
 // and the evidence, not on the order it arrived in.
+//
+// The materialized families are kept between rollups over the same
+// dataset (see Rollup), so a head follower's rollup costs what its
+// step changed.
 type Incremental struct {
 	// Labels gates the shared-counterparty edge kind and names
 	// families.
@@ -40,6 +44,10 @@ type Incremental struct {
 	// sharedMerges is the most shared-counterparty unions any rollup
 	// has applied; only growth past it is counted as new merges.
 	sharedMerges uint64
+
+	// roll is the last rollup, updated by every later mutation; nil
+	// makes the next rollup start from empty.
+	roll *rollup
 }
 
 // NewIncremental returns an empty incremental clusterer reporting
@@ -57,7 +65,8 @@ func NewIncremental(lbls *labels.Directory, reg *obs.Registry) *Incremental {
 
 // SetJournal makes every later mutation record its inverse in j, so a
 // head follower can undo the blocks a reorg orphaned; nil stops
-// journaling. Restore is never journaled.
+// journaling. Restore is never journaled. The kept rollup is not
+// journaled: call Invalidate after reverting j.
 func (inc *Incremental) SetJournal(j *core.Journal) {
 	inc.journal = j
 	inc.uf.journal = j
@@ -67,7 +76,37 @@ func (inc *Incremental) SetJournal(j *core.Journal) {
 // caller is expected to follow up with ObserveTx over the operator's
 // transaction history, so a direct edge observed before both parties
 // were members is seen again.
-func (inc *Incremental) AddOperator(op ethtypes.Address) { inc.uf.add(op) }
+func (inc *Incremental) AddOperator(op ethtypes.Address) {
+	if inc.Contains(op) {
+		return
+	}
+	inc.uf.add(op)
+	if inc.roll != nil {
+		inc.roll.addMember(op)
+	}
+}
+
+// Invalidate drops the kept rollup, so the next one starts from empty.
+// A head follower calls it after undoing journaled mutations.
+func (inc *Incremental) Invalidate() { inc.roll = nil }
+
+// ObserveSplits tallies the family votes of splits appended to the
+// dataset since the last rollup.
+func (inc *Incremental) ObserveSplits(splits []core.Split) {
+	r := inc.roll
+	if r == nil {
+		return // the next rollup tallies the dataset from empty
+	}
+	for _, sp := range splits {
+		if r.applied[sp.Contract] {
+			// A counterparty whose unions were applied became a dataset
+			// contract: those unions must go, so start over.
+			inc.roll = nil
+			return
+		}
+		r.observe(sp)
+	}
+}
 
 // Contains reports whether op has been added.
 func (inc *Incremental) Contains(op ethtypes.Address) bool {
@@ -83,6 +122,9 @@ func (inc *Incremental) taint(op ethtypes.Address) {
 	if !inc.tainted[op] {
 		core.JournalKey(inc.journal, inc.tainted, op)
 		inc.tainted[op] = true
+		if inc.roll != nil {
+			inc.roll.dirtyOps[op] = true
+		}
 	}
 }
 
@@ -102,6 +144,9 @@ func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 	if !inc.noDirect && inc.Contains(from) && inc.Contains(to) {
 		if inc.uf.union(from, to) {
 			inc.merges.With("direct").Inc()
+			if inc.roll != nil {
+				inc.roll.union(from, to)
+			}
 		}
 		return
 	}
@@ -129,6 +174,9 @@ func (inc *Incremental) ObserveTx(op ethtypes.Address, tx *chain.Transaction) {
 	if !set[op] {
 		core.JournalKey(inc.journal, set, op)
 		set[op] = true
+		if inc.roll != nil {
+			inc.roll.newEvidence[counterparty] = true
+		}
 	}
 }
 
@@ -153,49 +201,10 @@ func isEtherscanPhishing(dir *labels.Directory, a ethtypes.Address) bool {
 	return false
 }
 
-// Families rolls the accumulated evidence up into the family list for
-// ds. The union-find is cloned, the deferred shared-counterparty
-// unions are applied (skipping counterparties that ended up in the
-// dataset's contract set), degraded accounts are merged into the taint
-// set, and materialize produces the families. The clustering state is
-// not mutated, so rollups can run per update batch; each rollup
-// re-applies the same deferred unions, so the merge counter only takes
-// those past the previous rollup's count.
+// Families is Rollup without the freshly materialized families.
 func (inc *Incremental) Families(ds *core.Dataset, degraded map[ethtypes.Address]bool) []*Family {
-	uf := inc.uf.clone()
-	var shared uint64
-	cps := make([]ethtypes.Address, 0, len(inc.counterparties))
-	for cp := range inc.counterparties {
-		cps = append(cps, cp)
-	}
-	sortAddrs(cps)
-	for _, cp := range cps {
-		if _, isContract := ds.Contracts[cp]; isContract {
-			continue
-		}
-		members := make([]ethtypes.Address, 0, len(inc.counterparties[cp]))
-		for op := range inc.counterparties[cp] {
-			members = append(members, op)
-		}
-		sortAddrs(members)
-		for _, op := range members[1:] {
-			if uf.union(members[0], op) {
-				shared++
-			}
-		}
-	}
-	if shared > inc.sharedMerges {
-		inc.merges.With("shared_counterparty").Add(shared - inc.sharedMerges)
-		inc.sharedMerges = shared
-	}
-	tainted := make(map[ethtypes.Address]bool, len(inc.tainted)+len(degraded))
-	for a := range inc.tainted {
-		tainted[a] = true
-	}
-	for a := range degraded {
-		tainted[a] = true
-	}
-	return materialize(ds, uf, tainted, inc.Labels, inc.reg)
+	fams, _ := inc.Rollup(ds, degraded)
+	return fams
 }
 
 // incrementalJSON is the deterministic wire form of an Incremental:
@@ -287,6 +296,7 @@ func (inc *Incremental) Restore(blob []byte) error {
 	inc.uf = newUnionFind()
 	inc.tainted = make(map[ethtypes.Address]bool)
 	inc.counterparties = make(map[ethtypes.Address]map[ethtypes.Address]bool)
+	inc.roll = nil
 	for _, s := range in.Members {
 		a, err := ethtypes.HexToAddress(s)
 		if err != nil {

@@ -2,12 +2,15 @@ package cluster_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
+	"repro/internal/chain"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ethtypes"
+	"repro/internal/labels"
 	"repro/internal/obs"
 	"repro/internal/worldgen"
 )
@@ -109,5 +112,63 @@ func TestIncrementalFamiliesCountsMergesOnce(t *testing.T) {
 			t.Fatalf("rollup %d: counted %d direct + %d shared-counterparty merges, want %d in all (%d operators, %d families)",
 				i, direct, shared, want, len(ds.Operators), len(fams))
 		}
+	}
+}
+
+// TestRollupRestartsWhenCounterpartyBecomesContract: two operators
+// share an Etherscan-phishing counterparty, so a rollup merges them;
+// then the counterparty joins the dataset as a contract, which takes
+// that union back. The kept rollup must start over and match a rollup
+// from scratch, two families again.
+func TestRollupRestartsWhenCounterpartyBecomesContract(t *testing.T) {
+	addr := func(b byte) ethtypes.Address {
+		var a ethtypes.Address
+		a[19] = b
+		return a
+	}
+	op1, op2, cp, con, aff := addr(1), addr(2), addr(3), addr(4), addr(5)
+	lbls := labels.New()
+	lbls.Add(labels.Label{Address: cp, Source: labels.SourceEtherscan, Category: labels.CategoryPhishing, Name: "Fake_Phishing1"})
+	ds := core.NewDataset()
+	inc := cluster.NewIncremental(lbls, nil)
+	fold := func(h byte, contract, op ethtypes.Address) {
+		sp := core.Split{TxHash: ethtypes.Hash{h}, Contract: contract, Operator: op, Affiliate: aff}
+		if ds.Contracts[contract] == nil {
+			ds.Contracts[contract] = &core.ContractRecord{Address: contract}
+		}
+		ds.Operators[op] = &core.AccountRecord{Address: op}
+		ds.Affiliates[aff] = &core.AccountRecord{Address: aff}
+		ds.Splits[sp.TxHash] = append(ds.Splits[sp.TxHash], sp)
+		inc.AddOperator(op)
+		inc.ObserveSplits([]core.Split{sp})
+	}
+	fold(1, con, op1)
+	fold(2, con, op2)
+	if fams := inc.Families(ds, nil); len(fams) != 2 {
+		t.Fatalf("%d families before any edge, want 2", len(fams))
+	}
+	inc.ObserveTx(op1, &chain.Transaction{From: op1, To: &cp})
+	inc.ObserveTx(op2, &chain.Transaction{From: op2, To: &cp})
+	if fams := inc.Families(ds, nil); len(fams) != 1 {
+		t.Fatalf("%d families after the shared counterparty, want 1", len(fams))
+	}
+	fold(3, cp, op1)
+	got := inc.Families(ds, nil)
+	blob, err := inc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := cluster.NewIncremental(lbls, nil)
+	if err := scratch.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	want := scratch.Families(ds, nil)
+	if len(want) != 2 {
+		t.Fatalf("a rollup from scratch has %d families, want 2", len(want))
+	}
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(want)
+	if !bytes.Equal(gj, wj) {
+		t.Fatalf("kept rollup after the counterparty became a contract:\n%s\nfrom scratch:\n%s", gj, wj)
 	}
 }

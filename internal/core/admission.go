@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"time"
 
 	"repro/internal/chain"
 	"repro/internal/ethtypes"
@@ -43,6 +44,10 @@ type Admission struct {
 	// Classified, so a head follower can undo the blocks a reorg
 	// orphaned. Pipeline leaves it nil.
 	Journal *Journal
+	// OnFold, when set, is called with the splits of every transaction
+	// Fold records, after they are appended to DS.Splits; the radar's
+	// incremental clusterer tallies family votes from it.
+	OnFold func(splits []Split)
 
 	source     ChainSource
 	labels     *labels.Directory
@@ -147,6 +152,7 @@ func (a *Admission) Absorb(ctx context.Context, addr ethtypes.Address, found Dis
 			a.DS.Contracts[addr] = crec
 			a.m.contracts.With(string(found)).Inc()
 			if found == DiscoverySeed {
+				a.countSeed(&a.DS.SeedStats.Contracts)
 				for _, l := range a.labels.Of(addr) {
 					crec.Sources = append(crec.Sources, string(l.Source))
 				}
@@ -167,8 +173,14 @@ func (a *Admission) Absorb(ctx context.Context, addr ethtypes.Address, found Dis
 // contract's activity window and transaction count, the splits, and
 // the operators and affiliates they pay, tagged with the contract's
 // discovery mode. The splits of one transaction share its timestamp.
+// A transaction's first split in a seed contract counts toward the
+// seed statistics.
 func (a *Admission) Fold(crec *ContractRecord, h ethtypes.Hash, splits []Split) error {
 	ts := splits[0].Time
+	seeds := &a.DS.SeedStats
+	if crec.Found == DiscoverySeed && len(a.DS.Splits[h]) == 0 {
+		a.countSeed(&seeds.ProfitTxs)
+	}
 	JournalValue(a.Journal, crec)
 	if ts.Before(crec.FirstSeen) {
 		crec.FirstSeen = ts
@@ -182,18 +194,59 @@ func (a *Admission) Fold(crec *ContractRecord, h ethtypes.Hash, splits []Split) 
 	for _, sp := range splits {
 		JournalKey(a.Journal, a.DS.Splits, sp.TxHash)
 		a.DS.Splits[sp.TxHash] = append(a.DS.Splits[sp.TxHash], sp)
-		if touchAccount(a.Journal, a.DS.Operators, sp.Operator, sp.Time, crec.Found) {
+		if a.touchAccount(a.DS.Operators, &seeds.Operators, sp.Operator, sp.Time, crec.Found) {
 			if err := a.onAdmit(RoleOperator, sp.Operator, crec.Found); err != nil {
 				return err
 			}
 		}
-		if touchAccount(a.Journal, a.DS.Affiliates, sp.Affiliate, sp.Time, crec.Found) {
+		if a.touchAccount(a.DS.Affiliates, &seeds.Affiliates, sp.Affiliate, sp.Time, crec.Found) {
 			if err := a.onAdmit(RoleAffiliate, sp.Affiliate, crec.Found); err != nil {
 				return err
 			}
 		}
 	}
+	if a.OnFold != nil {
+		a.OnFold(splits)
+	}
 	return nil
+}
+
+// countSeed adds one to a seed statistics counter, journaled.
+func (a *Admission) countSeed(n *int) {
+	JournalValue(a.Journal, n)
+	*n++
+}
+
+// touchAccount updates or creates an account record with a sighting,
+// reporting whether the account is new to the map. A seed-phase
+// sighting upgrades an expansion-discovered account, never the
+// reverse: the batch build runs its whole seed phase first, so any
+// party to a seed contract's split carries the seed tag there, and in
+// block order the expansion sighting can come first. A record that
+// becomes seed-tagged, new or upgraded, adds one to *seeds. Every
+// change is journaled.
+func (a *Admission) touchAccount(m map[ethtypes.Address]*AccountRecord, seeds *int, addr ethtypes.Address, t time.Time, found Discovery) bool {
+	rec, ok := m[addr]
+	if !ok {
+		JournalKey(a.Journal, m, addr)
+		m[addr] = &AccountRecord{Address: addr, Found: found, FirstSeen: t, LastSeen: t}
+		if found == DiscoverySeed {
+			a.countSeed(seeds)
+		}
+		return true
+	}
+	JournalValue(a.Journal, rec)
+	if found == DiscoverySeed && rec.Found != DiscoverySeed {
+		rec.Found = DiscoverySeed
+		a.countSeed(seeds)
+	}
+	if t.Before(rec.FirstSeen) {
+		rec.FirstSeen = t
+	}
+	if t.After(rec.LastSeen) {
+		rec.LastSeen = t
+	}
+	return false
 }
 
 // Gate is the expansion gate of §5.1 step 4: a split transaction

@@ -429,44 +429,51 @@ func (q *quarantineInAbsorb) Transaction(h ethtypes.Hash) (*chain.Transaction, e
 // known-contract path (mergeScan into Admission.Fold): a split
 // transaction is quarantined while its contract is absorbed, and a
 // later frontier scan fetches it and folds it into the now-known
-// contract. The export must equal the fault-free build's. Expansion
-// contracts only: a record missing from a seed absorb is legitimately
-// missing from the frozen seed statistics.
+// contract. The export must equal the fault-free build's, seed
+// statistics included, for an expansion contract and for a seed
+// contract alike.
 func TestQuarantinedAbsorbRecordFoldedByLaterScan(t *testing.T) {
 	w := sharedWorld
 	clean := exportJSON(t, w, 1, 0)
 	ds := buildDataset(t, w)
-
-	hashes := make([]ethtypes.Hash, 0, len(ds.Splits))
-	for h, splits := range ds.Splits {
-		if ds.Contracts[splits[0].Contract].Found == core.DiscoveryExpansion {
-			hashes = append(hashes, h)
-		}
+	for _, found := range []core.Discovery{core.DiscoveryExpansion, core.DiscoverySeed} {
+		t.Run(string(found), func(t *testing.T) {
+			hashes := make([]ethtypes.Hash, 0, len(ds.Splits))
+			for h, splits := range ds.Splits {
+				if ds.Contracts[splits[0].Contract].Found == found {
+					hashes = append(hashes, h)
+				}
+			}
+			sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
+			// The first split whose refused record a later scan re-reads;
+			// a record no later scan reaches stays quarantined, which is
+			// the coverage ledger's business, not this path's.
+			for _, h := range hashes {
+				src := &quarantineInAbsorb{ChainSource: core.LocalSource{Chain: w.Chain}, contract: ds.Splits[h][0].Contract, hash: h}
+				got, err := (&core.Pipeline{Source: src, Labels: w.Labels}).Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !src.refused {
+					t.Fatalf("split %s was never fetched inside its contract's absorb", h)
+				}
+				if src.refetches == 0 {
+					continue
+				}
+				if got.SeedStats != ds.SeedStats {
+					t.Fatalf("split %s quarantined in its absorb and folded by a later scan: seed statistics %+v, fault-free %+v",
+						h, got.SeedStats, ds.SeedStats)
+				}
+				var buf bytes.Buffer
+				if err := got.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), clean) {
+					t.Fatalf("split %s quarantined in its absorb and folded by a later scan: export differs from the fault-free build", h)
+				}
+				return
+			}
+			t.Fatalf("no later scan re-read any of %d %s splits quarantined in an absorb; the known-contract path went untested", len(hashes), found)
+		})
 	}
-	sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
-	// The first split whose refused record a later scan re-reads; a
-	// record no later scan reaches stays quarantined, which is the
-	// coverage ledger's business, not this path's.
-	for _, h := range hashes {
-		src := &quarantineInAbsorb{ChainSource: core.LocalSource{Chain: w.Chain}, contract: ds.Splits[h][0].Contract, hash: h}
-		got, err := (&core.Pipeline{Source: src, Labels: w.Labels}).Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !src.refused {
-			t.Fatalf("split %s was never fetched inside its contract's absorb", h)
-		}
-		if src.refetches == 0 {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := got.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), clean) {
-			t.Fatalf("split %s quarantined in its absorb and folded by a later scan: export differs from the fault-free build", h)
-		}
-		return
-	}
-	t.Fatalf("no later scan re-read any of %d expansion splits quarantined in an absorb; the known-contract path went untested", len(hashes))
 }

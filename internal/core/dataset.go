@@ -54,8 +54,11 @@ type Dataset struct {
 	Affiliates map[ethtypes.Address]*AccountRecord
 	// Splits holds every detected profit share, keyed by transaction.
 	Splits map[ethtypes.Hash][]Split
-	// SeedStats freezes the dataset sizes after Step 3, before
-	// expansion (the left column of Table 1).
+	// SeedStats is the seed dataset of Steps 1–3 (the left column of
+	// Table 1): the seed-tagged contracts, operators and affiliates, and
+	// the transactions split through seed contracts. Admission counts
+	// it as records are tagged, so a seed record that a fault delayed
+	// past the seed phase still counts.
 	SeedStats Stats
 }
 
@@ -166,33 +169,6 @@ func hashLess(a, b ethtypes.Hash) bool {
 		if a[i] != b[i] {
 			return a[i] < b[i]
 		}
-	}
-	return false
-}
-
-// touchAccount updates or creates an account record with a sighting,
-// reporting whether the account is new to the map. A seed-phase
-// sighting upgrades an expansion-discovered account, never the
-// reverse: the batch build runs its whole seed phase first, so any
-// party to a seed contract's split carries the seed tag there, and in
-// block order the expansion sighting can come first. Every change is
-// recorded in j.
-func touchAccount(j *Journal, m map[ethtypes.Address]*AccountRecord, a ethtypes.Address, t time.Time, found Discovery) bool {
-	rec, ok := m[a]
-	if !ok {
-		JournalKey(j, m, a)
-		m[a] = &AccountRecord{Address: a, Found: found, FirstSeen: t, LastSeen: t}
-		return true
-	}
-	JournalValue(j, rec)
-	if found == DiscoverySeed {
-		rec.Found = DiscoverySeed
-	}
-	if t.Before(rec.FirstSeen) {
-		rec.FirstSeen = t
-	}
-	if t.After(rec.LastSeen) {
-		rec.LastSeen = t
 	}
 	return false
 }

@@ -375,7 +375,6 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 			return nil, fmt.Errorf("core: step 2: %w", err)
 		}
 	}
-	st.ds.SeedStats = st.ds.Stats()
 	absorb.SetAttr("contracts", st.ds.SeedStats.Contracts)
 	absorb.SetAttr("profit_txs", st.ds.SeedStats.ProfitTxs)
 	absorb.End()

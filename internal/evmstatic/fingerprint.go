@@ -396,4 +396,3 @@ func proxyPrints(fps []Fingerprint) []Fingerprint {
 	}
 	return out
 }
-

@@ -173,6 +173,16 @@ type Radar struct {
 
 	famOf       map[ethtypes.Address]string
 	familyCount int
+
+	// snap is the last snapshot compiled, which the next is applied
+	// onto. rebuild makes the next compile start from empty instead:
+	// set when state was undone or replaced, which the delta cannot
+	// express. fresh holds the families rolled up since the last
+	// compile, and touched the accounts whose records it must upsert.
+	snap    *screen.Snapshot
+	rebuild bool
+	fresh   map[*cluster.Family]bool
+	touched map[ethtypes.Address]bool
 }
 
 // New builds a radar; with cfg.Resume set and a checkpoint present the
@@ -187,8 +197,14 @@ func New(cfg Config) (*Radar, error) {
 	if cfg.Labels == nil {
 		return nil, fmt.Errorf("radar: Config.Labels is required")
 	}
-	r := &Radar{cfg: cfg, m: newRadarMetrics(cfg.Metrics)}
+	r := &Radar{
+		cfg:     cfg,
+		m:       newRadarMetrics(cfg.Metrics),
+		fresh:   make(map[*cluster.Family]bool),
+		touched: make(map[ethtypes.Address]bool),
+	}
 	r.adm = core.NewAdmission(cfg.Source, cfg.Labels, cfg.Classifier, cfg.Coverage, cfg.Metrics, r.admittedLocked)
+	r.adm.OnFold = func(splits []core.Split) { r.inc.ObserveSplits(splits) }
 	r.phishing = make(map[ethtypes.Address]bool)
 	for _, a := range cfg.Labels.AllPhishing() {
 		r.phishing[a] = true
@@ -231,6 +247,7 @@ func (r *Radar) resetLocked() error {
 	r.cursor = 0
 	r.famOf = make(map[ethtypes.Address]string)
 	r.familyCount = 0
+	r.rebuild = true
 	r.startJournalLocked()
 	gen, err := r.cfg.Blocks.BlockRef(0)
 	if err != nil {
@@ -390,6 +407,8 @@ func (r *Radar) rollbackLocked(fork uint64) error {
 	}
 	depth := r.cursor - fork
 	undone, ok := r.journal.Revert(fork)
+	r.inc.Invalidate()
+	r.rebuild = true
 	if ok {
 		r.ring = r.ring[:fork-r.ring[0].Number+1]
 		r.cursor = fork
@@ -422,6 +441,8 @@ func (r *Radar) failsafeLocked(cause error) error {
 	// The journal always reaches back to the cursor: it is trimmed only
 	// to blocks below it, and starts at it after a reset or resume.
 	r.journal.Revert(r.cursor)
+	r.inc.Invalidate()
+	r.rebuild = true
 	r.m.journalG.Set(int64(r.journal.Len()))
 	r.emitLocked(Update{Kind: KindReorg, Block: r.cursor})
 	r.logger().Warn("radar ingest failed; undid the partial block",
@@ -549,6 +570,7 @@ func (r *Radar) admitLocked(h ethtypes.Hash, pt *pendingTx, b uint64) (bool, err
 func (r *Radar) admittedLocked(role core.Role, a ethtypes.Address, found core.Discovery) error {
 	b := r.cursor + 1
 	r.dirty = true
+	r.touched[a] = true
 	r.emitLocked(Update{Kind: string(role), Block: b, Address: a.Hex(), Discovery: string(found)})
 	if role == core.RoleOperator {
 		return r.admitOperatorLocked(a, b)
@@ -659,48 +681,6 @@ func (r *Radar) sortedPendingLocked() []ethtypes.Hash {
 	return out
 }
 
-// recomputeSeedStatsLocked derives the batch pipeline's frozen
-// seed-phase statistics from discovery tags: the batch freezes Stats()
-// when only seed-found records exist, so counting seed-tagged records
-// (and split transactions of seed contracts) reproduces it exactly.
-func (r *Radar) recomputeSeedStatsLocked() {
-	var ss core.Stats
-	for _, c := range r.adm.DS.Contracts {
-		if c.Found == core.DiscoverySeed {
-			ss.Contracts++
-		}
-	}
-	for _, a := range r.adm.DS.Operators {
-		if a.Found == core.DiscoverySeed {
-			ss.Operators++
-		}
-	}
-	for _, a := range r.adm.DS.Affiliates {
-		if a.Found == core.DiscoverySeed {
-			ss.Affiliates++
-		}
-	}
-	for _, sps := range r.adm.DS.Splits {
-		if len(sps) == 0 {
-			continue
-		}
-		if c := r.adm.DS.Contracts[sps[0].Contract]; c != nil && c.Found == core.DiscoverySeed {
-			ss.ProfitTxs++
-		}
-	}
-	r.adm.DS.SeedStats = ss
-}
-
-// finishDatasetLocked brings the dataset's derived parts up to date
-// for export: seed statistics and, when configured, fingerprints.
-func (r *Radar) finishDatasetLocked() error {
-	r.recomputeSeedStatsLocked()
-	if r.cfg.Static == nil {
-		return nil
-	}
-	return r.adm.DS.AnnotateFingerprints(r.cfg.Static)
-}
-
 func (r *Radar) degradedLocked() map[ethtypes.Address]bool {
 	out := make(map[ethtypes.Address]bool)
 	for a := range r.cfg.Coverage.Stats().Degraded {
@@ -709,17 +689,45 @@ func (r *Radar) degradedLocked() map[ethtypes.Address]bool {
 	return out
 }
 
-// recompileLocked rolls up families, annotates static fingerprints,
-// compiles a fresh screening snapshot, and hot-swaps it into the
-// engine. Family membership changes are emitted to the update feed.
-func (r *Radar) recompileLocked() error {
-	if err := r.finishDatasetLocked(); err != nil {
-		return err
+// rollupLocked brings the family rollup up to date and books the
+// families it materialized, and their accounts, for the next compile.
+func (r *Radar) rollupLocked() []*cluster.Family {
+	fams, fresh := r.inc.Rollup(r.adm.DS, r.degradedLocked())
+	for _, fam := range fresh {
+		r.fresh[fam] = true
+		for _, list := range [][]ethtypes.Address{fam.Operators, fam.Contracts, fam.Affiliates} {
+			for _, a := range list {
+				r.touched[a] = true
+			}
+		}
 	}
-	fams := r.inc.Families(r.adm.DS, r.degradedLocked())
+	return fams
+}
+
+// recompileLocked rolls up families, compiles a fresh screening
+// snapshot, and hot-swaps it into the engine. Family membership
+// changes are emitted to the update feed. Both cost what changed since
+// the last recompile: the rollup re-materializes the families the step
+// touched, and the snapshot is the last one with the records of the
+// admitted accounts and of those families' members upserted. After a
+// rollback, a failed block or a resume both start from empty.
+func (r *Radar) recompileLocked() error {
+	if r.cfg.Static != nil {
+		if err := r.adm.DS.AnnotateFingerprints(r.cfg.Static); err != nil {
+			return err
+		}
+		// A verdict can change without a dataset change (a proxy's
+		// storage), so fingerprints are rolled up from empty.
+		r.inc.Invalidate()
+		r.rebuild = true
+	}
+	fams := r.rollupLocked()
 	r.familyCount = len(fams)
 	r.m.familiesG.Set(int64(len(fams)))
 	for _, fam := range fams {
+		if !r.fresh[fam] {
+			continue
+		}
 		for _, c := range fam.Contracts {
 			if r.famOf[c] != fam.Name {
 				r.famOf[c] = fam.Name
@@ -728,21 +736,37 @@ func (r *Radar) recompileLocked() error {
 		}
 	}
 	if r.cfg.Engine != nil {
-		r.cfg.Engine.Swap(screen.Compile(r.adm.DS, fams, r.cfg.Domains))
+		if r.rebuild || r.snap == nil {
+			r.snap = screen.Compile(r.adm.DS, fams, r.cfg.Domains)
+		} else {
+			d := screen.Delta{Upserts: make([]screen.Record, 0, len(r.touched))}
+			for a := range r.touched {
+				d.Upserts = append(d.Upserts, screen.AccountRecord(r.adm.DS, a, r.inc.FamilyOf(a)))
+			}
+			r.snap = r.snap.Apply(d)
+		}
+		r.cfg.Engine.Swap(r.snap)
 		r.swaps++
 		r.m.swapsC.Inc()
 		r.emitLocked(Update{Kind: KindSwap, Block: r.cursor})
 	}
+	clear(r.fresh)
+	clear(r.touched)
+	r.rebuild = false
 	return nil
 }
 
-// Families returns the current family rollup, recomputed on demand: a
-// full Incremental.Families pass (1.5–3.2 ms on the final state of a
-// scale-0.02 replay), so callers should not poll it per block.
+// Families returns the current family rollup as copies the caller may
+// modify. It rolls up only what changed since the last rollup.
 func (r *Radar) Families() []*cluster.Family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inc.Families(r.adm.DS, r.degradedLocked())
+	fams := r.rollupLocked()
+	out := make([]*cluster.Family, len(fams))
+	for i, fam := range fams {
+		out[i] = fam.Clone()
+	}
+	return out
 }
 
 // ExportJSON writes the dataset in exactly the one-shot pipeline's
@@ -750,8 +774,10 @@ func (r *Radar) Families() []*cluster.Family {
 func (r *Radar) ExportJSON(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.finishDatasetLocked(); err != nil {
-		return err
+	if r.cfg.Static != nil {
+		if err := r.adm.DS.AnnotateFingerprints(r.cfg.Static); err != nil {
+			return err
+		}
 	}
 	return r.adm.DS.WriteJSON(w)
 }

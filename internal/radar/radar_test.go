@@ -715,10 +715,12 @@ func TestRadarRandomReorgSweep(t *testing.T) {
 	wantDS, wantFams := batchExport(t, world)
 	f := chain.NewFollower(world.Chain)
 	dst := f.Chain()
+	eng := screen.NewEngine(nil)
 	r, err := radar.New(radar.Config{
 		Source:      core.LocalSource{Chain: dst},
 		Blocks:      radar.ChainBlocks{Chain: dst},
 		Labels:      world.Labels,
+		Engine:      eng,
 		ReorgWindow: window,
 	})
 	if err != nil {
@@ -729,6 +731,7 @@ func TestRadarRandomReorgSweep(t *testing.T) {
 		if _, err := r.Step(); err != nil {
 			t.Fatal(err)
 		}
+		radar.AssertMatchesScratch(t, r, eng, "random reorg sweep")
 	}
 	rng := rand.New(rand.NewSource(18))
 	reorgs := 0

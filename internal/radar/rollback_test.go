@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ethtypes"
 	"repro/internal/obs"
+	"repro/internal/screen"
 	"repro/internal/worldgen"
 )
 
@@ -99,7 +100,18 @@ func TestRollbackDepthSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := chain.NewFollower(world.Chain)
-	r := localRadar(t, world, core.LocalSource{Chain: f.Chain()}, ChainBlocks{Chain: f.Chain()})
+	eng := screen.NewEngine(nil)
+	r, err := New(Config{Source: core.LocalSource{Chain: f.Chain()}, Blocks: ChainBlocks{Chain: f.Chain()}, Labels: world.Labels, Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		t.Helper()
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesScratch(t, r, eng, "depth sweep")
+	}
 	w := r.window()
 	gap := (int(world.Chain.BlockCount()) - 1 - w) / w
 	if gap < 1 {
@@ -107,17 +119,17 @@ func TestRollbackDepthSweep(t *testing.T) {
 	}
 	for d := 1; d <= w; d++ {
 		advance(f, gap)
-		step(t, r)
+		step()
 		fork := r.cursor
 		want := stateBytes(t, r)
 
 		mineOrphans(t, world, f, d)
-		step(t, r)
+		step()
 		if r.cursor != fork+uint64(d) {
 			t.Fatalf("depth %d: radar at %d did not follow the orphans to %d", d, r.cursor, fork+uint64(d))
 		}
 		f.Heal()
-		step(t, r)
+		step()
 		if r.cursor != fork {
 			t.Fatalf("depth %d: rolled back to %d, want %d", d, r.cursor, fork)
 		}

@@ -44,7 +44,6 @@ type ringJSON struct {
 // the on-disk checkpoint's bytes. Reorg rollback does not go through
 // it: the undo journal restores the live state in place.
 func (r *Radar) marshalStateLocked() ([]byte, error) {
-	r.recomputeSeedStatsLocked()
 	cblob, err := r.inc.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("radar: snapshotting clusterer: %w", err)
@@ -120,6 +119,7 @@ func (r *Radar) applyCheckpointLocked(cp *core.RadarCheckpoint) error {
 	r.famOf = make(map[ethtypes.Address]string)
 	r.familyCount = 0
 	r.dirty = true // recompile (and re-announce families) after restore
+	r.rebuild = true
 	r.reorgs = ext.Reorgs
 	r.swaps = ext.Swaps
 	r.updateCursor = ext.UpdateCursor

@@ -92,7 +92,6 @@ func (r *Radar) Updates(after uint64, limit int) ([]Update, uint64, bool) {
 func (r *Radar) Status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recomputeSeedStatsLocked()
 	return Status{
 		Head:         r.lastHead,
 		Cursor:       r.cursor,

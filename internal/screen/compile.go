@@ -11,50 +11,57 @@ import (
 // taint flags from the §7.1 clustering (families may be nil when
 // clustering was skipped), and the §8.2 detector's confirmed phishing
 // domains. This is the one source of truth both the wallet guard and
-// the screening RPC serve from.
+// the screening RPC serve from. An account listed by more than one
+// family takes the family latest in the list.
 func Compile(ds *core.Dataset, families []*cluster.Family, phishingDomains []string) *Snapshot {
-	b := NewBuilder()
-	type famInfo struct {
-		name    string
-		tainted bool
-	}
-	famOf := make(map[ethtypes.Address]famInfo)
+	famOf := make(map[ethtypes.Address]*cluster.Family)
 	for _, fam := range families {
-		info := famInfo{name: fam.Name, tainted: fam.Tainted}
 		for _, a := range fam.Operators {
-			famOf[a] = info
+			famOf[a] = fam
 		}
 		for _, a := range fam.Contracts {
-			famOf[a] = info
+			famOf[a] = fam
 		}
 		for _, a := range fam.Affiliates {
-			famOf[a] = info
+			famOf[a] = fam
 		}
 	}
-	add := func(a ethtypes.Address, kind Kind, reason string, staticFlagged bool) {
-		fi := famOf[a]
-		b.Add(Record{
-			Address:       a,
-			Kind:          kind,
-			Reason:        reason,
-			Family:        fi.name,
-			Tainted:       fi.tainted,
-			StaticFlagged: staticFlagged,
-		})
-	}
+	d := Delta{Domains: phishingDomains}
 	if ds != nil {
-		for _, rec := range ds.SortedContracts() {
-			add(rec.Address, KindContract, ReasonContract, rec.StaticFlagged)
+		// An account in two partitions is upserted twice with the same
+		// record; Apply keeps one.
+		d.Upserts = make([]Record, 0, ds.AccountCount())
+		for a := range ds.Contracts {
+			d.Upserts = append(d.Upserts, AccountRecord(ds, a, famOf[a]))
 		}
-		for _, rec := range ds.SortedOperators() {
-			add(rec.Address, KindOperator, ReasonOperator, false)
-		}
-		for _, rec := range ds.SortedAffiliates() {
-			add(rec.Address, KindAffiliate, ReasonAffiliate, false)
+		for _, m := range []map[ethtypes.Address]*core.AccountRecord{ds.Operators, ds.Affiliates} {
+			for a := range m {
+				d.Upserts = append(d.Upserts, AccountRecord(ds, a, famOf[a]))
+			}
 		}
 	}
-	for _, d := range phishingDomains {
-		b.AddDomain(d)
+	return new(Snapshot).Apply(d)
+}
+
+// AccountRecord is the record a snapshot lists for dataset account a,
+// attributed to fam (nil for none). An account in more than one
+// partition is listed once, by the last of contract, operator,
+// affiliate; only a contract listing carries the static screen's flag.
+func AccountRecord(ds *core.Dataset, a ethtypes.Address, fam *cluster.Family) Record {
+	r := Record{Address: a}
+	switch {
+	case ds.Affiliates[a] != nil:
+		r.Kind, r.Reason = KindAffiliate, ReasonAffiliate
+	case ds.Operators[a] != nil:
+		r.Kind, r.Reason = KindOperator, ReasonOperator
+	default:
+		r.Kind, r.Reason = KindContract, ReasonContract
+		if c := ds.Contracts[a]; c != nil {
+			r.StaticFlagged = c.StaticFlagged
+		}
 	}
-	return b.Build()
+	if fam != nil {
+		r.Family, r.Tainted = fam.Name, fam.Tainted
+	}
+	return r
 }

@@ -229,31 +229,36 @@ func TestCompileFromPipelineOutputs(t *testing.T) {
 
 // TestScreenZeroAlloc is the hot-path allocation gate from the
 // roadmap's p99 < 5ms budget: a single-address screen performs zero
-// heap allocations, instruments included.
+// heap allocations, instruments included, on a built snapshot and on
+// one a delta was applied to.
 func TestScreenZeroAlloc(t *testing.T) {
-	eng := screen.NewEngine(obs.NewRegistry())
-	eng.Swap(buildSample([]int{0, 1, 2, 3}))
-	hit, miss := addr(1), addr(9)
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, ok := eng.Screen(hit); !ok {
-			t.Fatal("hit not found")
+	recs := sampleRecords()
+	applied := buildSample([]int{0, 1, 2}).Apply(screen.Delta{Upserts: recs[3:], Removals: []ethtypes.Address{addr(9)}})
+	for name, snap := range map[string]*screen.Snapshot{"built": buildSample([]int{0, 1, 2, 3}), "applied": applied} {
+		eng := screen.NewEngine(obs.NewRegistry())
+		eng.Swap(snap)
+		hit, miss := addr(1), addr(9)
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, ok := eng.Screen(hit); !ok {
+				t.Fatal("hit not found")
+			}
+		}); n != 0 {
+			t.Errorf("%s: Screen(hit) allocates %.1f objects/op, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("Screen(hit) allocates %.1f objects/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, ok := eng.Screen(miss); ok {
-			t.Fatal("miss found")
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, ok := eng.Screen(miss); ok {
+				t.Fatal("miss found")
+			}
+		}); n != 0 {
+			t.Errorf("%s: Screen(miss) allocates %.1f objects/op, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("Screen(miss) allocates %.1f objects/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		if !eng.ScreenDomain("evil-drainer.example") {
-			t.Fatal("domain not found")
+		if n := testing.AllocsPerRun(1000, func() {
+			if !eng.ScreenDomain("evil-drainer.example") {
+				t.Fatal("domain not found")
+			}
+		}); n != 0 {
+			t.Errorf("%s: ScreenDomain(canonical) allocates %.1f objects/op, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("ScreenDomain(canonical) allocates %.1f objects/op, want 0", n)
 	}
 }
 

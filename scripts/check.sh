@@ -7,6 +7,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files are not formatted:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -27,6 +35,9 @@ go test -count=1 -run 'TestScheduleDeterministic|TestPipelineByteIdentical' ./in
 
 echo "==> screen race: zero-lock engine and wallet guard under concurrent snapshot swaps"
 go test -race -count=1 -run 'TestEngineSwapUnderConcurrentReads|TestGuardConcurrentReload' ./internal/screen/ ./internal/walletguard/
+
+echo "==> snapshot apply fuzz smoke: Apply of a delta serializes exactly as a Build of the merged set over the seed corpus + 10s of new inputs"
+go test -count=1 -run=NONE -fuzz 'FuzzSnapshotApply' -fuzztime 10s ./internal/screen/
 
 echo "==> screen loadgen: batch schedule deterministic, verdicts byte-identical under swap churn"
 go test -count=1 -run 'TestScreenScheduleDeterministic|TestScreenSwapUnderLoadByteIdentical' ./internal/loadgen/
