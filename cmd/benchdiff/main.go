@@ -10,8 +10,8 @@
 //
 //   - time-like metrics (ns_op, B_op, allocs_op, *_s/_ms/_us/_ns) are
 //     lower-is-better, gated at baseline*tolerance;
-//   - throughput metrics (*ops_s) are higher-is-better, gated at
-//     baseline/tolerance;
+//   - throughput metrics (*ops_s, *blocks_s, MB_s) are higher-is-better,
+//     gated at baseline/tolerance;
 //   - everything else is a shape metric — deterministic counts such as
 //     profit-txs — gated two-sided at a tight tolerance, because any
 //     drift there is a correctness bug, not timing noise;
@@ -213,7 +213,8 @@ func classify(unit string) metricClass {
 		}
 		return lowerBetter
 	}
-	if strings.HasSuffix(unit, "ops_s") {
+	// A rate per second is named by what it counts.
+	if strings.HasSuffix(unit, "ops_s") || strings.HasSuffix(unit, "blocks_s") {
 		return higherBetter
 	}
 	for _, suf := range []string{"_s", "_ms", "_us", "_ns"} {

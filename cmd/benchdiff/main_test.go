@@ -61,6 +61,7 @@ func TestClassify(t *testing.T) {
 		"build_p50_ms":   lowerBetter,
 		"lag_p99_us":     lowerBetter,
 		"achieved_ops_s": higherBetter,
+		"blocks_s":       higherBetter,
 		"MB_s":           higherBetter,
 		"profit_txs":     shape,
 		"contracts":      shape,
