@@ -1,10 +1,12 @@
 // Package fetchcache is the chain-source stack's cache layer: a
-// sharded, size-bounded transaction+receipt cache with single-flight
-// deduplication. The snowball pipeline re-reads the same hashes across
-// expansion passes (a contract absorb walks a history the frontier
-// scan partially fetched moments earlier), and with parallel scanners
-// two workers can race toward the same hash; the cache turns both into
-// at most one fetch per object.
+// sharded transaction+receipt cache with single-flight deduplication,
+// either size-bounded (LRU) or holding every record for its lifetime.
+// The snowball pipeline re-reads the same hashes across expansion
+// passes (a contract absorb walks a history the frontier scan
+// partially fetched moments earlier), with parallel scanners two
+// workers can race toward the same hash, and a study's validation,
+// clustering and measurement re-read what the build fetched; the cache
+// turns each into at most one fetch per object.
 //
 // Only immutable objects are cached: a confirmed transaction and its
 // receipt never change, so entries need no TTL. Account histories
@@ -28,11 +30,6 @@ import (
 // worker counts (≤ dozens) without bloating the struct.
 const nShards = 32
 
-// DefaultCapacity bounds the cache when NewCache is given a non-positive
-// capacity: 64k entries ≈ 32k tx+receipt pairs, a few hundred MB worst
-// case on mainnet-sized receipts and far below it on typical ones.
-const DefaultCapacity = 1 << 16
-
 const (
 	kindTx byte = iota
 	kindReceipt
@@ -50,13 +47,14 @@ type entry struct {
 	ready chan struct{}
 	val   any // *chain.Transaction or *chain.Receipt
 	err   error
-	elem  *list.Element // LRU position; nil while in flight
+	elem  *list.Element // LRU position; nil while in flight or unbounded
 }
 
 type shard struct {
 	mu      sync.Mutex
 	entries map[key]*entry
-	lru     *list.List // of key; front = most recently used
+	lru     *list.List // of key; front = most recently used; nil when unbounded
+	held    int        // settled entries
 }
 
 // Cache is the fetch-cache layer of a chain-source stack.
@@ -71,16 +69,14 @@ type Cache struct {
 }
 
 // NewCache puts a cache of at most capacity entries over below (one
-// entry per transaction or receipt; non-positive means
-// DefaultCapacity), registering hit/miss/eviction counters in reg (nil
-// reg means no-op instruments).
+// entry per transaction or receipt), registering hit/miss/eviction
+// counters in reg (nil reg means no-op instruments). A non-positive
+// capacity means unbounded: every record read through the cache stays
+// in it for the cache's lifetime, with no LRU bookkeeping.
 func NewCache(below core.Layer, capacity int, reg *obs.Registry) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	per := (capacity + nShards - 1) / nShards
-	if per < 1 {
-		per = 1
+	per := 0
+	if capacity > 0 {
+		per = (capacity + nShards - 1) / nShards
 	}
 	c := &Cache{
 		Layer:       below,
@@ -91,7 +87,9 @@ func NewCache(below core.Layer, capacity int, reg *obs.Registry) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[key]*entry)
-		c.shards[i].lru = list.New()
+		if per > 0 {
+			c.shards[i].lru = list.New()
+		}
 	}
 	return c
 }
@@ -102,7 +100,7 @@ func (s *Cache) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += sh.held
 		sh.mu.Unlock()
 	}
 	return n
@@ -135,7 +133,8 @@ func (s *Cache) lookup(k key) (e *entry, owned bool) {
 
 // settle publishes an owned entry's result: failures are dropped from
 // the map (waiters still observe the error; later callers retry),
-// successes enter the LRU, evicting from the cold end past capacity.
+// successes are held, and a bounded cache enters them into the LRU,
+// evicting from the cold end past capacity.
 func (s *Cache) settle(k key, e *entry, val any, err error) {
 	e.val, e.err = val, err
 	sh := s.shard(k)
@@ -145,13 +144,17 @@ func (s *Cache) settle(k key, e *entry, val any, err error) {
 			delete(sh.entries, k)
 		}
 	} else if sh.entries[k] == e {
-		e.elem = sh.lru.PushFront(k)
-		for sh.lru.Len() > s.perShardCap {
-			cold := sh.lru.Back()
-			ck := cold.Value.(key)
-			sh.lru.Remove(cold)
-			delete(sh.entries, ck)
-			s.evictions.Inc()
+		sh.held++
+		if sh.lru != nil {
+			e.elem = sh.lru.PushFront(k)
+			for sh.held > s.perShardCap {
+				cold := sh.lru.Back()
+				ck := cold.Value.(key)
+				sh.lru.Remove(cold)
+				delete(sh.entries, ck)
+				sh.held--
+				s.evictions.Inc()
+			}
 		}
 	}
 	sh.mu.Unlock()

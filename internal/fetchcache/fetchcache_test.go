@@ -205,6 +205,32 @@ func TestEvictionBound(t *testing.T) {
 	}
 }
 
+// TestUnboundedHoldsEverything: a non-positive capacity keeps every
+// settled record, so a second pass over more same-shard hashes than a
+// 64k-entry cache gives one shard is all hits and nothing is evicted.
+func TestUnboundedHoldsEverything(t *testing.T) {
+	src := &countingSource{}
+	reg := obs.NewRegistry()
+	c := newCached(src, 0, reg)
+	const n = 3000
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			if _, err := c.Transaction(hash(5, byte(i>>8), byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := src.txCalls.Load(); got != n {
+		t.Errorf("underlying Transaction called %d times, want %d", got, n)
+	}
+	if c.Len() != n {
+		t.Errorf("cache holds %d entries, want %d", c.Len(), n)
+	}
+	if ev := counter(t, reg, "daas_cache_evictions_total"); ev != 0 {
+		t.Errorf("evictions = %d, want 0", ev)
+	}
+}
+
 func TestErrorsAreNotCached(t *testing.T) {
 	src := &countingSource{}
 	src.fail.Store(true)

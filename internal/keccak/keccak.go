@@ -32,59 +32,51 @@ var roundConstants = [24]uint64{
 	0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 }
 
-// piLanes and rhoOffsets walk the combined rho and pi steps as one
-// cycle through the 24 non-origin lanes (lane (x, y) at index x+5*y):
-// the lane at piLanes[i] receives its predecessor on the cycle,
-// rotated left by rhoOffsets[i].
-var (
-	piLanes    = [24]int{10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4, 15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1}
-	rhoOffsets = [24]int{1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14, 27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44}
-)
-
 // state is the 5x5 lane matrix of Keccak-f[1600], flattened with lane
 // (x, y) at index x+5*y.
 type state [25]uint64
 
 // permute applies the full 24-round Keccak-f[1600] permutation in place.
+// The 25 lanes stay in locals for all 24 rounds, and each round is
+// straight-line code: lane (x, y) is held in a{x+5y}; rho rotates it by
+// its reference offset and pi moves it to (y, 2x+3y), held in b.
 func (a *state) permute() {
+	a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
+	a5, a6, a7, a8, a9 := a[5], a[6], a[7], a[8], a[9]
+	a10, a11, a12, a13, a14 := a[10], a[11], a[12], a[13], a[14]
+	a15, a16, a17, a18, a19 := a[15], a[16], a[17], a[18], a[19]
+	a20, a21, a22, a23, a24 := a[20], a[21], a[22], a[23], a[24]
 	for round := 0; round < 24; round++ {
 		// Theta.
-		c0 := a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20]
-		c1 := a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21]
-		c2 := a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22]
-		c3 := a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23]
-		c4 := a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24]
-		d := [5]uint64{
-			c4 ^ bits.RotateLeft64(c1, 1),
-			c0 ^ bits.RotateLeft64(c2, 1),
-			c1 ^ bits.RotateLeft64(c3, 1),
-			c2 ^ bits.RotateLeft64(c4, 1),
-			c3 ^ bits.RotateLeft64(c0, 1),
-		}
-		for y := 0; y < 25; y += 5 {
-			a[y] ^= d[0]
-			a[y+1] ^= d[1]
-			a[y+2] ^= d[2]
-			a[y+3] ^= d[3]
-			a[y+4] ^= d[4]
-		}
-		// Rho and pi.
-		t := a[1]
-		for i, j := range piLanes {
-			a[j], t = bits.RotateLeft64(t, rhoOffsets[i]), a[j]
-		}
-		// Chi.
-		for y := 0; y < 25; y += 5 {
-			b0, b1, b2, b3, b4 := a[y], a[y+1], a[y+2], a[y+3], a[y+4]
-			a[y] = b0 ^ (^b1 & b2)
-			a[y+1] = b1 ^ (^b2 & b3)
-			a[y+2] = b2 ^ (^b3 & b4)
-			a[y+3] = b3 ^ (^b4 & b0)
-			a[y+4] = b4 ^ (^b0 & b1)
-		}
-		// Iota.
-		a[0] ^= roundConstants[round]
+		c0 := a0 ^ a5 ^ a10 ^ a15 ^ a20
+		c1 := a1 ^ a6 ^ a11 ^ a16 ^ a21
+		c2 := a2 ^ a7 ^ a12 ^ a17 ^ a22
+		c3 := a3 ^ a8 ^ a13 ^ a18 ^ a23
+		c4 := a4 ^ a9 ^ a14 ^ a19 ^ a24
+		d0 := c4 ^ bits.RotateLeft64(c1, 1)
+		d1 := c0 ^ bits.RotateLeft64(c2, 1)
+		d2 := c1 ^ bits.RotateLeft64(c3, 1)
+		d3 := c2 ^ bits.RotateLeft64(c4, 1)
+		d4 := c3 ^ bits.RotateLeft64(c0, 1)
+		// Rho and pi, one output row per line.
+		b0, b1, b2, b3, b4 := a0^d0, bits.RotateLeft64(a6^d1, 44), bits.RotateLeft64(a12^d2, 43), bits.RotateLeft64(a18^d3, 21), bits.RotateLeft64(a24^d4, 14)
+		b5, b6, b7, b8, b9 := bits.RotateLeft64(a3^d3, 28), bits.RotateLeft64(a9^d4, 20), bits.RotateLeft64(a10^d0, 3), bits.RotateLeft64(a16^d1, 45), bits.RotateLeft64(a22^d2, 61)
+		b10, b11, b12, b13, b14 := bits.RotateLeft64(a1^d1, 1), bits.RotateLeft64(a7^d2, 6), bits.RotateLeft64(a13^d3, 25), bits.RotateLeft64(a19^d4, 8), bits.RotateLeft64(a20^d0, 18)
+		b15, b16, b17, b18, b19 := bits.RotateLeft64(a4^d4, 27), bits.RotateLeft64(a5^d0, 36), bits.RotateLeft64(a11^d1, 10), bits.RotateLeft64(a17^d2, 15), bits.RotateLeft64(a23^d3, 56)
+		b20, b21, b22, b23, b24 := bits.RotateLeft64(a2^d2, 62), bits.RotateLeft64(a8^d3, 55), bits.RotateLeft64(a14^d4, 39), bits.RotateLeft64(a15^d0, 41), bits.RotateLeft64(a21^d1, 2)
+		// Chi, then iota.
+		a0, a1, a2, a3, a4 = b0^(^b1&b2), b1^(^b2&b3), b2^(^b3&b4), b3^(^b4&b0), b4^(^b0&b1)
+		a5, a6, a7, a8, a9 = b5^(^b6&b7), b6^(^b7&b8), b7^(^b8&b9), b8^(^b9&b5), b9^(^b5&b6)
+		a10, a11, a12, a13, a14 = b10^(^b11&b12), b11^(^b12&b13), b12^(^b13&b14), b13^(^b14&b10), b14^(^b10&b11)
+		a15, a16, a17, a18, a19 = b15^(^b16&b17), b16^(^b17&b18), b17^(^b18&b19), b18^(^b19&b15), b19^(^b15&b16)
+		a20, a21, a22, a23, a24 = b20^(^b21&b22), b21^(^b22&b23), b22^(^b23&b24), b23^(^b24&b20), b24^(^b20&b21)
+		a0 ^= roundConstants[round]
 	}
+	a[0], a[1], a[2], a[3], a[4] = a0, a1, a2, a3, a4
+	a[5], a[6], a[7], a[8], a[9] = a5, a6, a7, a8, a9
+	a[10], a[11], a[12], a[13], a[14] = a10, a11, a12, a13, a14
+	a[15], a[16], a[17], a[18], a[19] = a15, a16, a17, a18, a19
+	a[20], a[21], a[22], a[23], a[24] = a20, a21, a22, a23, a24
 }
 
 // digest is a streaming Keccak-256 state implementing hash.Hash.

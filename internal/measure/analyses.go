@@ -2,6 +2,7 @@ package measure
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -33,6 +34,10 @@ type VictimReport struct {
 	ActiveDays      int
 }
 
+// approvalReads counts the approval entries Victims reads; the
+// linearity guard in the tests reads it.
+var approvalReads atomic.Int64
+
 // Victims computes the victim-side report.
 func (c *Corpus) Victims() VictimReport {
 	rep := VictimReport{Victims: len(c.VictimLossUSD)}
@@ -55,6 +60,13 @@ func (c *Corpus) Victims() VictimReport {
 	}
 
 	// Multi-phish analysis over signature events.
+	unrevokedOwners := make(map[ethtypes.Address]bool)
+	for key, st := range c.Approvals {
+		if !st.Revoked {
+			unrevokedOwners[key.Owner] = true
+		}
+	}
+	approvalReads.Add(int64(len(c.Approvals)))
 	var simultaneous, unrevoked int
 	victimsWithEvents := 0
 	daily := make(map[string]map[ethtypes.Address]bool)
@@ -93,7 +105,7 @@ func (c *Corpus) Victims() VictimReport {
 		if sameBlock {
 			simultaneous++
 		}
-		if c.victimHasUnrevoked(victim) {
+		if unrevokedOwners[victim] {
 			unrevoked++
 		}
 	}
@@ -113,15 +125,6 @@ func (c *Corpus) Victims() VictimReport {
 		rep.AvgDailyVictims = float64(totalDaily) / float64(rep.ActiveDays)
 	}
 	return rep
-}
-
-func (c *Corpus) victimHasUnrevoked(victim ethtypes.Address) bool {
-	for key, st := range c.Approvals {
-		if key.Owner == victim && !st.Revoked {
-			return true
-		}
-	}
-	return false
 }
 
 // OperatorReport reproduces §6.2.

@@ -208,3 +208,38 @@ func relDiff(a, b float64) float64 {
 }
 
 func relDiffInt(a, b int) float64 { return relDiff(float64(a), float64(b)) }
+
+// TestVictimsIsLinear guards Victims against a per-victim scan of the
+// approvals: on two world sizes it reads each approval entry once,
+// where a scan per multi-phished victim reads about one per entry and
+// victim.
+func TestVictimsIsLinear(t *testing.T) {
+	for _, scale := range []float64{0.01, 0.03} {
+		cfg := worldgen.TestConfig(2025)
+		cfg.Scale = scale
+		w, err := worldgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &core.Pipeline{Source: core.LocalSource{Chain: w.Chain}, Labels: w.Labels}
+		ds, err := p.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		an := &measure.Analyzer{Source: core.LocalSource{Chain: w.Chain}, Oracle: w.Oracle, Labels: w.Labels}
+		corpus, err := an.BuildCorpus(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := measure.ApprovalReads()
+		rep := corpus.Victims()
+		reads := measure.ApprovalReads() - before
+		t.Logf("scale %.2f: %d approvals, %d multi-phished victims, %d reads", scale, len(corpus.Approvals), rep.MultiPhished, reads)
+		if len(corpus.Approvals) == 0 || rep.MultiPhished < 2 {
+			t.Fatalf("scale %.2f: world too small to tell (%d approvals, %d multi-phished victims)", scale, len(corpus.Approvals), rep.MultiPhished)
+		}
+		if reads > int64(len(corpus.Approvals)) {
+			t.Errorf("scale %.2f: Victims read %d approval entries for %d recorded", scale, reads, len(corpus.Approvals))
+		}
+	}
+}

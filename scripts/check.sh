@@ -42,9 +42,6 @@ go test -count=1 -run=NONE -fuzz 'FuzzSnapshotApply' -fuzztime 10s ./internal/sc
 echo "==> screen loadgen: batch schedule deterministic, verdicts byte-identical under swap churn"
 go test -count=1 -run 'TestScreenScheduleDeterministic|TestScreenSwapUnderLoadByteIdentical' ./internal/loadgen/
 
-echo "==> radar soak: race-checked daemon over a fault-injected chain with a forced reorg, converging to the batch export"
-go test -race -count=1 -run 'TestRadarSoakConcurrent|TestRadarReorgRollback|TestRadarCheckpointResume|TestRollbackDepthSweep|TestRadarRandomReorgSweep' ./internal/radar/
-
 echo "==> cluster truth: §7.1 recovers worldgen's planted families; both edge kinds are load-bearing"
 go test -count=1 -run 'TestClusterMatchesTruth|TestClusterEdgeAblation' ./internal/cluster/
 
