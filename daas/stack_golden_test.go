@@ -186,3 +186,37 @@ func lineDiff(want, got string) string {
 	}
 	return b.String()
 }
+
+// TestStackBuildsCacheOnFirstRead pins that a stack read only through
+// Checked (the radar daemon's) has no fetch cache, so its /metrics
+// show no cache counters, while the first Cached call makes one.
+func TestStackBuildsCacheOnFirstRead(t *testing.T) {
+	cacheFamilies := func(reg *obs.Registry) int {
+		n := 0
+		for _, f := range reg.Snapshot().Families {
+			if strings.HasPrefix(f.Name, "daas_cache_") {
+				n++
+			}
+		}
+		return n
+	}
+	w, err := worldgen.Generate(worldgen.TestConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st := daas.NewStack(core.LocalSource{Chain: w.Chain}, daas.StackConfig{Metrics: reg})
+	h := w.Chain.TransactionsOf(w.Chain.AccountsWithHistory()[0])[0]
+	if _, err := st.Checked.Transaction(h); err != nil {
+		t.Fatal(err)
+	}
+	if n := cacheFamilies(reg); n != 0 {
+		t.Fatalf("a stack read only through Checked registered %d cache families", n)
+	}
+	if st.Cached() != st.Cached() {
+		t.Fatal("Cached returned two different stores")
+	}
+	if n := cacheFamilies(reg); n == 0 {
+		t.Fatal("Cached made no cache counters")
+	}
+}
