@@ -131,12 +131,14 @@ func runRadar(reg *obs.Registry, opts radarOptions) error {
 }
 
 // newDaemonRadar assembles the daemon's radar over base. Its source
-// stack is metrics → integrity (daas.NewStack's uncached top): no
-// fetch cache, because a cached receipt would outlive a reorg, and no
-// source-level retry, because rpc.Client.Retry already retries. The
-// integrity layer pins every record the radar admits; on a reorg the
-// radar releases the pins above the fork through the returned handle,
-// so rolled-back evidence cannot linger in the quarantine ledger.
+// stack is daas.NewStack's uncached top, integrity → metrics → leaf:
+// no fetch cache, because a cached receipt would outlive a reorg.
+// Retries happen inside base when it is an rpc.Client (its Retry
+// policy); a read that still fails fails the step, and Run undoes the
+// partial block and ingests it again on the next tick. The integrity
+// layer pins every record the radar admits; on a reorg the radar
+// releases the pins above the fork through the returned handle, so
+// rolled-back evidence cannot linger in the quarantine ledger.
 func newDaemonRadar(reg *obs.Registry, base core.ChainSource, blocks radar.BlockSource, lbls *labels.Directory,
 	eng *screen.Engine, confirmed []string, opts radarOptions, logger *obs.Logger) (*radar.Radar, *integrity.Source, error) {
 	src := daas.NewStack(base, daas.StackConfig{Metrics: reg}).Checked

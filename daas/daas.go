@@ -87,27 +87,14 @@ type Client struct {
 	// store holds only records the integrity layer settled, and never a
 	// failure.
 	CacheSize int
-	// RetryPolicy, when set, retries transient chain-source failures
-	// (timeouts, 5xx, 429, resets) with deterministic exponential
-	// backoff, optionally behind a circuit breaker. It sits between the
-	// integrity layer and the per-method metrics (see NewStack), so
-	// every retried attempt is counted and every re-fetch of a corrupt
-	// record may be retried.
-	RetryPolicy *retry.Policy
 	// CheckpointPath, when set, makes BuildDataset persist its state
 	// atomically to this file at iteration boundaries, so an
 	// interrupted build can continue with Resume to a byte-identical
 	// dataset.
 	CheckpointPath string
-	// CheckpointEvery writes a checkpoint every N expansion iterations
-	// (default 1).
-	CheckpointEvery int
 	// Resume restores CheckpointPath (when the file exists) and
 	// continues the build from it.
 	Resume bool
-	// MaxRefetch overrides the integrity layer's per-record re-fetch
-	// allowance (default integrity.DefaultMaxRefetch).
-	MaxRefetch int
 	// MaxQuarantine, when positive, aborts the run once total
 	// quarantine rejections exceed it (integrity.ErrBudgetExceeded) —
 	// the -max-quarantine CLI knob.
@@ -175,18 +162,17 @@ func (c *Client) BuildDataset() (*Dataset, error) {
 		rc.Retry.Metrics = c.Metrics
 	}
 	p := &core.Pipeline{
-		Source:          c.stack().Cached(),
-		Labels:          c.labels,
-		Classifier:      c.Classifier,
-		Concurrency:     c.Concurrency,
-		CheckpointPath:  c.CheckpointPath,
-		CheckpointEvery: c.CheckpointEvery,
-		Resume:          c.Resume,
-		Quarantine:      c.stack().Checked.Quarantine(),
-		Coverage:        c.coverageLedger(),
-		Logger:          c.Logger,
-		Metrics:         c.Metrics,
-		Spans:           c.Spans,
+		Source:         c.stack().Cached(),
+		Labels:         c.labels,
+		Classifier:     c.Classifier,
+		Concurrency:    c.Concurrency,
+		CheckpointPath: c.CheckpointPath,
+		Resume:         c.Resume,
+		Quarantine:     c.stack().Checked.Quarantine(),
+		Coverage:       c.coverageLedger(),
+		Logger:         c.Logger,
+		Metrics:        c.Metrics,
+		Spans:          c.Spans,
 	}
 	return p.Build()
 }
@@ -197,8 +183,6 @@ func (c *Client) stack() *Stack {
 		c.sources = NewStack(c.source, StackConfig{
 			Metrics:       c.Metrics,
 			CacheSize:     c.CacheSize,
-			RetryPolicy:   c.RetryPolicy,
-			MaxRefetch:    c.MaxRefetch,
 			MaxQuarantine: c.MaxQuarantine,
 		})
 	})

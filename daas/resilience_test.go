@@ -3,6 +3,9 @@ package daas_test
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -12,15 +15,31 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/retry"
+	"repro/internal/rpc"
 )
 
-// quickPolicy retries without real sleeps, keeping the matrix fast.
-func quickPolicy(reg *obs.Registry) *retry.Policy {
-	return &retry.Policy{
+// transportKinds are the wire fault flavors a JSON-RPC gateway shows:
+// each fails one HTTP exchange, and rpc.Client retries it.
+var transportKinds = []faults.Kind{faults.KindReset, faults.KindTimeout, faults.KindStatus5xx, faults.KindRateLimit, faults.KindTruncate}
+
+// serveWorld serves world over JSON-RPC and returns a client reading it
+// the way daas.Dial does, retrying transient failures (here without
+// sleeping). A non-nil inj injects its faults into the client's HTTP
+// transport.
+func serveWorld(t *testing.T, inj *faults.Injector, reg *obs.Registry) *rpc.Client {
+	t.Helper()
+	srv := httptest.NewServer(rpc.NewServer(world.Chain, world.Labels))
+	t.Cleanup(srv.Close)
+	rc := rpc.NewClient(srv.URL)
+	if inj != nil {
+		rc.HTTPClient = &http.Client{Transport: &faults.RoundTripper{Inj: inj}}
+	}
+	rc.Retry = &retry.Policy{
 		MaxAttempts: 6,
 		Metrics:     reg,
 		Sleep:       func(context.Context, time.Duration) error { return nil },
 	}
+	return rc
 }
 
 func exportWith(t *testing.T, src core.ChainSource, configure func(*daas.Client)) []byte {
@@ -40,11 +59,11 @@ func exportWith(t *testing.T, src core.ChainSource, configure func(*daas.Client)
 	return buf.Bytes()
 }
 
-// TestFaultMatrixBuildIsByteIdentical runs the snowball build under
-// several seeded transient-fault schedules, with the retry policy
-// between the fault injector and the pipeline. Every faulted run must
-// converge to the fault-free export byte for byte — transient faults
-// cost wall-clock, never data.
+// TestFaultMatrixBuildIsByteIdentical runs the snowball build over
+// JSON-RPC under several seeded schedules of transport faults, which
+// the client's retry policy absorbs. Every faulted run must converge
+// to the fault-free export byte for byte — transient faults cost
+// wall-clock, never data.
 func TestFaultMatrixBuildIsByteIdentical(t *testing.T) {
 	clean := exportWith(t, core.LocalSource{Chain: world.Chain}, nil)
 	if len(clean) == 0 {
@@ -52,10 +71,8 @@ func TestFaultMatrixBuildIsByteIdentical(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 2, 3} {
 		reg := obs.NewRegistry()
-		inj := faults.NewInjector(faults.Plan{Seed: seed, Rate: 0.05}, reg)
-		src := faults.WrapSource(core.LocalSource{Chain: world.Chain}, inj)
-		got := exportWith(t, src, func(c *daas.Client) {
-			c.RetryPolicy = quickPolicy(reg)
+		inj := faults.NewInjector(faults.Plan{Seed: seed, Rate: 0.05, Kinds: transportKinds}, reg)
+		got := exportWith(t, serveWorld(t, inj, reg), func(c *daas.Client) {
 			c.CacheSize = 1 << 12
 			c.Concurrency = 4
 			c.Metrics = reg
@@ -66,29 +83,36 @@ func TestFaultMatrixBuildIsByteIdentical(t *testing.T) {
 		if inj.Faults() == 0 {
 			t.Errorf("seed %d: schedule injected no faults; the matrix tested nothing", seed)
 		}
+		t.Logf("seed %d: %d faults in %d transport ops", seed, inj.Faults(), inj.Ops())
 	}
 }
 
 // TestFaultedCheckpointResumeThroughClient exercises the full wiring a
-// CLI run uses: a build with fault injection and checkpointing dies on
-// a planted fatal fault; a second Client with -resume semantics
-// finishes the build to the byte-identical export.
+// CLI run uses: a checkpointing build over JSON-RPC, whose transport
+// faults the client retries, dies on a planted kill late in the run; a
+// second Client with -resume semantics finishes the build to the
+// byte-identical export.
 func TestFaultedCheckpointResumeThroughClient(t *testing.T) {
 	clean := exportWith(t, core.LocalSource{Chain: world.Chain}, nil)
 	path := filepath.Join(t.TempDir(), "daas.ckpt")
 
-	// Count ops to plant the kill late in the run.
-	counter := faults.NewInjector(faults.Plan{Seed: 9}, nil)
-	exportWith(t, faults.WrapSource(core.LocalSource{Chain: world.Chain}, counter), nil)
+	// Count the client's reads to plant the kill late in the run.
+	counter := faults.NewInjector(faults.Plan{}, nil)
+	exportWith(t, faults.WrapSource(serveWorld(t, nil, nil), counter), nil)
 	kill := counter.Ops() - 1
 
-	inj := faults.NewInjector(faults.Plan{Seed: 9, Rate: 0.02, FatalAfterOps: kill}, nil)
-	src := faults.WrapSource(core.LocalSource{Chain: world.Chain}, inj)
-	c := daas.New(src, world.Labels, world.Oracle)
-	c.RetryPolicy = quickPolicy(nil)
+	wire := faults.NewInjector(faults.Plan{Seed: 9, Rate: 0.02, Kinds: transportKinds}, nil)
+	killer := faults.NewInjector(faults.Plan{FatalAfterOps: kill}, nil)
+	c := daas.New(faults.WrapSource(serveWorld(t, wire, nil), killer), world.Labels, world.Oracle)
 	c.CheckpointPath = path
 	if _, err := c.BuildDataset(); err == nil {
-		t.Fatal("build survived its planted fatal fault")
+		t.Fatal("build survived its planted kill")
+	}
+	if killer.Faults() != 1 || wire.Faults() == 0 {
+		t.Fatalf("kill faults = %d, transport faults = %d; want 1 and > 0", killer.Faults(), wire.Faults())
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("killed build left no checkpoint to resume: %v", err)
 	}
 
 	got := exportWith(t, core.LocalSource{Chain: world.Chain}, func(c *daas.Client) {
@@ -172,7 +196,6 @@ func TestQuarantinedCheckpointResumeRoundTrip(t *testing.T) {
 	inj := faults.NewInjector(faults.Plan{Seed: 11, Rate: 0.05, Kinds: corruptionKinds, FatalAfterOps: kill}, nil)
 	src := faults.WrapSource(core.LocalSource{Chain: world.Chain}, inj)
 	c := daas.New(src, world.Labels, world.Oracle)
-	c.RetryPolicy = quickPolicy(nil)
 	c.CheckpointPath = path
 	if _, err := c.BuildDataset(); err == nil {
 		t.Fatal("build survived its planted fatal fault")

@@ -7,39 +7,33 @@ import (
 	"repro/internal/fetchcache"
 	"repro/internal/integrity"
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // StackConfig carries the settings of the chain-source stack.
 type StackConfig struct {
 	// Metrics, when set, receives daas_chain_* per-method request
-	// metrics from the leaf and the integrity, cache and retry
-	// instruments.
+	// metrics from the leaf and the integrity and cache instruments.
 	Metrics *obs.Registry
 	// CacheSize, when positive, bounds the fetch cache on top of the
 	// stack to that many entries (LRU); otherwise the cache holds every
 	// record it serves for the stack's lifetime.
 	CacheSize int
-	// RetryPolicy, when set, retries transient leaf failures below the
-	// integrity layer.
-	RetryPolicy *retry.Policy
-	// MaxRefetch and MaxQuarantine tune the integrity layer (see
-	// integrity.Validator).
-	MaxRefetch    int
+	// MaxQuarantine, when positive, fails the run once total quarantine
+	// rejections exceed it (see integrity.Validator).
 	MaxQuarantine int64
 }
 
 // Stack is one chain source assembled in the production order:
 //
-//	cache → integrity → retry → metrics → leaf
+//	cache → integrity → metrics → leaf
 //
 // Metrics sit innermost, so daas_chain_* counts real fetches, not
-// cache hits. Retries come next: each wire attempt is counted, and an
-// exhausted retry surfaces one failure. Integrity sits above the
-// retries, so every re-fetch of a corrupt record spends real wire
-// attempts. The cache is outermost: it stores only records the
-// integrity layer settled (a permanently quarantined one stays nil),
-// never a failure, and a hit spends no retry budget.
+// cache hits. Integrity sits above them, so every re-fetch of a
+// corrupt record is a counted fetch. The cache is outermost: it stores
+// only records the integrity layer settled (a permanently quarantined
+// one stays nil), and never a failure. Retries are not a layer: a
+// remote leaf (rpc.Client) retries transient wire failures itself, so
+// each read the stack sees has already succeeded or run out of tries.
 //
 // The two tops share one integrity layer, so its transaction pins and
 // permanent quarantines are the same whichever top a stage reads.
@@ -57,9 +51,7 @@ type Stack struct {
 
 // NewStack is the one place that fixes the layer order over src.
 func NewStack(src core.ChainSource, cfg StackConfig) *Stack {
-	below := retry.NewLayer(core.NewLeaf(src, cfg.Metrics), cfg.RetryPolicy)
-	checked := integrity.NewSource(below, nil, cfg.Metrics)
-	checked.MaxRefetch = cfg.MaxRefetch
+	checked := integrity.NewSource(core.NewLeaf(src, cfg.Metrics), nil, cfg.Metrics)
 	checked.MaxQuarantine = cfg.MaxQuarantine
 	return &Stack{Checked: checked, cfg: cfg}
 }

@@ -54,9 +54,8 @@ type Admission struct {
 	classifier Classifier
 	coverage   *Coverage
 	onAdmit    OnAdmit
-	// concurrency and batch shape fetchAll, as Pipeline's Concurrency
-	// and BatchSize document.
-	concurrency, batch int
+	// concurrency shapes fetchAll, as Pipeline's Concurrency documents.
+	concurrency int
 
 	m admissionMetrics
 }
@@ -307,15 +306,9 @@ type fetched struct {
 	rec *chain.Receipt
 }
 
-// defaultBatchSize caps one BatchSource call when BatchSize is unset.
+// defaultBatchSize caps one BatchSource call: larger batches mean
+// fewer round trips but bigger responses.
 const defaultBatchSize = 128
-
-func (a *Admission) batchSize() int {
-	if a.batch > 0 {
-		return a.batch
-	}
-	return defaultBatchSize
-}
 
 // workers is the fetch parallelism for n jobs: concurrency, at least
 // one and at most n.
@@ -355,10 +348,10 @@ func (a *Admission) fetchAll(ctx context.Context, hashes []ethtypes.Hash) ([]fet
 }
 
 // fetchBatched fills out[i] for hashes[i] through a BatchSource,
-// splitting the request into BatchSize chunks fetched by up to
+// splitting the request into defaultBatchSize chunks fetched by up to
 // Concurrency workers.
 func (a *Admission) fetchBatched(ctx context.Context, bs BatchSource, hashes []ethtypes.Hash, out []fetched) error {
-	size := a.batchSize()
+	size := defaultBatchSize
 	chunks := (len(hashes) + size - 1) / size
 	a.m.fetchWorkers.Set(int64(a.workers(chunks)))
 	return runWorkers(ctx, chunks, a.workers(chunks), func(c int) error {

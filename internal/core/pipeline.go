@@ -18,9 +18,6 @@ type Pipeline struct {
 	Source     ChainSource
 	Labels     *labels.Directory
 	Classifier Classifier
-	// MaxIterations bounds the expansion loop as a safety valve; the
-	// loop normally reaches a fixpoint long before (default 50).
-	MaxIterations int
 	// StaticPreFilter statically analyzes candidate bytecode (when
 	// Source implements CodeSource) and skips contracts that provably
 	// cannot split value, saving their full history scan. Purely an
@@ -35,21 +32,13 @@ type Pipeline struct {
 	// in deterministic frontier order, so admission decisions and the
 	// expansion gate see exactly the serial pipeline's state.
 	Concurrency int
-	// BatchSize caps the per-call batch when Source implements
-	// BatchSource (default 128). Larger batches mean fewer round trips
-	// but bigger responses.
-	BatchSize int
 	// CheckpointPath, when set, makes Build serialize its state
 	// (dataset + expansion frontier) atomically to this file after the
-	// seed phase and after expansion iterations, so an interrupted
+	// seed phase and after every expansion iteration, so an interrupted
 	// multi-hour build — crash, SIGKILL, fatal source fault — can
 	// continue with Resume instead of starting over. A resumed build
 	// produces a byte-identical dataset.
 	CheckpointPath string
-	// CheckpointEvery writes a checkpoint every N completed expansion
-	// iterations (default 1: every iteration). The seed-phase
-	// checkpoint is always written.
-	CheckpointEvery int
 	// Resume makes Build restore CheckpointPath (when the file exists)
 	// and continue from it instead of rebuilding from the seed. With no
 	// checkpoint file present the build runs fresh.
@@ -233,6 +222,10 @@ type scanOutcome struct {
 	err         error
 }
 
+// maxIterations bounds the expansion loop as a safety valve; the loop
+// normally reaches a fixpoint long before.
+const maxIterations = 50
+
 // Build runs seed collection, seed dataset construction, and iterative
 // expansion, returning the final dataset. With CheckpointPath set, the
 // state is persisted at iteration boundaries; with Resume, an existing
@@ -261,7 +254,7 @@ func (p *Pipeline) Build() (*Dataset, error) {
 	// Step 4: snowball expansion until fixpoint. On resume the loop
 	// picks up at the checkpoint's completed-iteration count; the
 	// frontier is the tracker's restored pending accounts.
-	for iter := st.iterations; iter < p.maxIter(); iter++ {
+	for iter := st.iterations; iter < maxIterations; iter++ {
 		before := st.ds.Stats()
 		// Scan the history of every not-yet-scanned operator and
 		// affiliate account for profit-sharing transactions invoking
@@ -291,10 +284,8 @@ func (p *Pipeline) Build() (*Dataset, error) {
 			"affiliates", after.Affiliates,
 			"profit_txs", after.ProfitTxs)
 		st.iterations = iter + 1
-		if st.iterations%p.checkpointEvery() == 0 {
-			if err := p.checkpoint(st); err != nil {
-				return nil, err
-			}
+		if err := p.checkpoint(st); err != nil {
+			return nil, err
 		}
 		if after == before {
 			break
@@ -413,13 +404,6 @@ func (p *Pipeline) checkpoint(st *buildState) error {
 		"bytes", n,
 		"iterations_done", st.iterations)
 	return nil
-}
-
-func (p *Pipeline) checkpointEvery() int {
-	if p.CheckpointEvery > 0 {
-		return p.CheckpointEvery
-	}
-	return 1
 }
 
 // expandIteration scans one frontier. With Concurrency ≤ 1 each
@@ -593,14 +577,7 @@ func (p *Pipeline) absorbContract(ctx context.Context, adm *Admission, addr etht
 // admitted operator and affiliate to the frontier tracker.
 func (p *Pipeline) admission(st *buildState) *Admission {
 	adm := NewAdmission(p.Source, p.Labels, p.Classifier, p.Coverage, p.Metrics, st.tracker.admitted)
-	adm.concurrency, adm.batch = p.Concurrency, p.BatchSize
+	adm.concurrency = p.Concurrency
 	adm.DS, adm.Classified = st.ds, st.classified
 	return adm
-}
-
-func (p *Pipeline) maxIter() int {
-	if p.MaxIterations > 0 {
-		return p.MaxIterations
-	}
-	return 50
 }

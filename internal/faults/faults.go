@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // Kind is one injectable fault flavor.
@@ -121,10 +120,11 @@ type Plan struct {
 	// — the schedule "dries up", letting a retried or resumed run
 	// complete and be compared against a fault-free one.
 	MaxFaults int64
-	// FatalAfterOps, when positive, injects exactly one fatal
-	// (non-retryable) fault at operation number FatalAfterOps,
-	// independent of Rate — the deterministic kill switch for
-	// checkpoint/resume tests.
+	// FatalAfterOps, when positive, injects exactly one fault at
+	// operation number FatalAfterOps, independent of Rate — the
+	// deterministic kill switch for checkpoint/resume tests. On a Source
+	// it fails the read that rolled it (nothing retries a Source error);
+	// a RoundTripper surfaces it as a connection reset.
 	FatalAfterOps int64
 }
 
@@ -199,13 +199,13 @@ func (i *Injector) Faults() int64 {
 	return i.faults
 }
 
-// sourceError turns a rolled fault into an error for a non-HTTP path:
-// transient faults are marked retryable so the retry layer absorbs
-// them; the planted fatal fault is left unmarked (fatal by default
-// classification) so it aborts the run.
+// sourceError turns a rolled fault into an error for a non-HTTP path,
+// naming the kind (or "fatal" for the planted fault) and rooted in
+// ErrInjected. Retries live in the network clients, below any Source,
+// so the error fails the read that rolled it.
 func sourceError(kind Kind, fatal bool, op string) error {
 	if fatal {
 		return fmt.Errorf("faults: %s: fatal: %w", op, ErrInjected)
 	}
-	return retry.Transient(fmt.Errorf("faults: %s: %s: %w", op, kind, ErrInjected))
+	return fmt.Errorf("faults: %s: %s: %w", op, kind, ErrInjected)
 }

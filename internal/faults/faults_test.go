@@ -1,14 +1,12 @@
 package faults_test
 
 import (
-	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/chain"
 	"repro/internal/core"
@@ -81,7 +79,7 @@ func TestMaxFaultsDriesUp(t *testing.T) {
 	}
 }
 
-func TestInjectedFaultsClassifyTransient(t *testing.T) {
+func TestInjectedFaultsWrapErrInjected(t *testing.T) {
 	inj := faults.NewInjector(faults.Plan{Seed: 1, Rate: 1, MaxFaults: 1}, nil)
 	_, err := faults.WrapSource(nullSource{}, inj).Transaction(ethtypes.Hash{})
 	if err == nil {
@@ -89,9 +87,6 @@ func TestInjectedFaultsClassifyTransient(t *testing.T) {
 	}
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Errorf("injected error does not unwrap to ErrInjected: %v", err)
-	}
-	if retry.Classify(err) != retry.ClassTransient {
-		t.Errorf("injected fault classified %v, want transient", retry.Classify(err))
 	}
 }
 
@@ -104,28 +99,14 @@ func TestFatalAfterOpsPlantsOneFatalFault(t *testing.T) {
 			if err == nil {
 				t.Fatal("op 3 did not fault")
 			}
-			if retry.Classify(err) != retry.ClassFatal {
-				t.Errorf("planted fault classified %v, want fatal", retry.Classify(err))
+			if !errors.Is(err, faults.ErrInjected) {
+				t.Errorf("planted fault does not unwrap to ErrInjected: %v", err)
 			}
 			continue
 		}
 		if err != nil {
 			t.Errorf("op %d unexpectedly faulted: %v", i, err)
 		}
-	}
-}
-
-func TestRetryPolicyAbsorbsInjectedFaults(t *testing.T) {
-	inj := faults.NewInjector(faults.Plan{Seed: 5, Rate: 1, MaxFaults: 2}, nil)
-	src := core.NewTop(retry.NewLayer(core.NewLeaf(faults.WrapSource(nullSource{}, inj), nil), &retry.Policy{
-		MaxAttempts: 4,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-	}))
-	if _, err := src.Transaction(ethtypes.Hash{}); err != nil {
-		t.Fatalf("retry did not absorb 2 transient faults: %v", err)
-	}
-	if inj.Ops() != 3 {
-		t.Errorf("ops = %d, want 3 (2 faulted + 1 success)", inj.Ops())
 	}
 }
 

@@ -27,11 +27,11 @@ const DefaultMaxRefetch = 5
 // a single read of the top).
 //
 // In the production stack the layer sits between the fetch cache and
-// the retry layer (cache → integrity → retry → metrics → leaf), so the
-// cache only ever stores validated records and every re-fetch spends
-// real wire attempts. One Validator should be shared across pipeline
-// stages: its per-transaction pins are what let a later stage detect a
-// source that silently reorged between fetches.
+// the metrics layer (cache → integrity → metrics → leaf), so the cache
+// only ever stores validated records and every re-fetch is a counted
+// fetch. One Validator should be shared across pipeline stages: its
+// per-transaction pins are what let a later stage detect a source that
+// silently reorged between fetches.
 type Validator struct {
 	core.Layer
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/radar"
-	"repro/internal/retry"
 	"repro/internal/rpc"
 	"repro/internal/screen"
 	"repro/internal/worldgen"
@@ -85,7 +84,7 @@ type outageSwitch struct{ down atomic.Bool }
 var errOutage = fmt.Errorf("loadgen: injected upstream outage: %w", faults.ErrInjected)
 
 // outageChain gates a ChainSource behind the switch; down reads fail
-// with a transient error, exactly like a gateway melting down.
+// with errOutage, exactly like a gateway melting down.
 type outageChain struct {
 	sw  *outageSwitch
 	src core.ChainSource
@@ -93,28 +92,28 @@ type outageChain struct {
 
 func (o outageChain) TransactionsOf(a ethtypes.Address) ([]ethtypes.Hash, error) {
 	if o.sw.down.Load() {
-		return nil, retry.Transient(errOutage)
+		return nil, errOutage
 	}
 	return o.src.TransactionsOf(a)
 }
 
 func (o outageChain) Transaction(h ethtypes.Hash) (*chain.Transaction, error) {
 	if o.sw.down.Load() {
-		return nil, retry.Transient(errOutage)
+		return nil, errOutage
 	}
 	return o.src.Transaction(h)
 }
 
 func (o outageChain) Receipt(h ethtypes.Hash) (*chain.Receipt, error) {
 	if o.sw.down.Load() {
-		return nil, retry.Transient(errOutage)
+		return nil, errOutage
 	}
 	return o.src.Receipt(h)
 }
 
 func (o outageChain) IsContract(a ethtypes.Address) (bool, error) {
 	if o.sw.down.Load() {
-		return false, retry.Transient(errOutage)
+		return false, errOutage
 	}
 	return o.src.IsContract(a)
 }
@@ -127,14 +126,14 @@ type outageBlocks struct {
 
 func (o outageBlocks) Head() (uint64, error) {
 	if o.sw.down.Load() {
-		return 0, retry.Transient(errOutage)
+		return 0, errOutage
 	}
 	return o.src.Head()
 }
 
 func (o outageBlocks) BlockRef(n uint64) (radar.BlockRef, error) {
 	if o.sw.down.Load() {
-		return radar.BlockRef{}, retry.Transient(errOutage)
+		return radar.BlockRef{}, errOutage
 	}
 	return o.src.BlockRef(n)
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/obs"
 	"repro/internal/radar"
-	"repro/internal/retry"
 	"repro/internal/screen"
 	"repro/internal/worldgen"
 )
@@ -482,12 +481,14 @@ func TestRadarUpdatesCursorSemantics(t *testing.T) {
 }
 
 // TestRadarSoakConcurrent is the race-checked daemon soak: the radar
-// Runs against a chain advancing in another goroutine through a
-// fault-injected integrity/retry source stack, survives one forced
-// reorg, and serves Status/Updates/screen queries concurrently. After
-// the dust settles the export must equal the batch pipeline's (the
-// injected faults are transient and dry up, so the integrity layer
-// quarantines nothing).
+// Runs against a chain advancing in another goroutine through the
+// daemon's source stack (integrity over the leaf, no retry layer) with
+// faults injected at the leaf, survives one forced reorg, and serves
+// Status/Updates/screen queries concurrently. Each injected fault fails
+// a step; Run undoes the partial block and ingests it again on the
+// next tick. After the dust settles the export must equal the batch
+// pipeline's (the faults are read errors and dry up, so the integrity
+// layer quarantines nothing).
 func TestRadarSoakConcurrent(t *testing.T) {
 	world := genWorld(t, 11)
 	wantDS, wantFams := batchExport(t, world)
@@ -496,9 +497,7 @@ func TestRadarSoakConcurrent(t *testing.T) {
 	dst := f.Chain()
 	reg := obs.NewRegistry()
 	inj := faults.NewInjector(faults.Plan{Seed: 3, Rate: 0.01, MaxFaults: 25}, reg)
-	src := integrity.NewSource(
-		retry.NewLayer(core.NewLeaf(faults.WrapSource(core.LocalSource{Chain: dst}, inj), nil),
-			&retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, Metrics: reg}),
+	src := integrity.NewSource(core.NewLeaf(faults.WrapSource(core.LocalSource{Chain: dst}, inj), reg),
 		integrity.NewQuarantine(reg), reg)
 	eng := screen.NewEngine(reg)
 	r, err := radar.New(radar.Config{
@@ -581,6 +580,11 @@ func TestRadarSoakConcurrent(t *testing.T) {
 	if inj.Faults() == 0 {
 		t.Fatal("fault injector never fired — the soak exercised nothing")
 	}
+	n := reg.Counter("daas_radar_step_errors_total", "").Value()
+	if n == 0 {
+		t.Fatalf("%d faults injected but no step failed", inj.Faults())
+	}
+	t.Logf("%d faults injected, %d steps failed", inj.Faults(), n)
 }
 
 // TestRadarReorgFeedHasNoDuplicates rolls back to a fork block that is

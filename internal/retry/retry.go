@@ -1,16 +1,16 @@
-// Package retry implements the resilience layer of the measurement
-// infrastructure: a deterministic exponential-backoff retry policy
-// with per-error classification, an optional shared retry budget, and
-// a circuit breaker.
+// Package retry is the retry policy of the network clients: a
+// deterministic exponential backoff with per-error classification.
 //
 // The live counterparts of this repository's substituted inputs are
 // flaky by nature — public RPC gateways rate-limit and shed load, CT
 // log frontends return 5xx under bursts, and phishing sites vanish
 // mid-crawl — so a single transient fault must never abort a
-// multi-hour snowball build or wedge the CT→crawl funnel. Every
-// network-facing client (internal/rpc, internal/ct, internal/crawler)
-// and, optionally, the pipeline's ChainSource accept a *Policy and
-// route their calls through Do.
+// multi-hour snowball build or wedge the CT→crawl funnel. The three
+// network-facing clients (internal/rpc, internal/ct, internal/crawler)
+// accept a *Policy and route each request through Do; they are the
+// only places a retry happens. Layers above them (the integrity layer,
+// the fetch cache) see a request that eventually succeeded or a
+// failure that retrying did not cure.
 //
 // Backoff is deterministic (no jitter): given the same fault schedule
 // the retry sequence is identical run to run, which keeps the
@@ -25,7 +25,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -63,34 +62,8 @@ type HTTPError struct {
 
 func (e *HTTPError) Error() string { return fmt.Sprintf("http %d", e.Status) }
 
-// markedError pins a classification onto a wrapped error, overriding
-// the default classifier.
-type markedError struct {
-	err   error
-	class Class
-}
-
-func (m *markedError) Error() string { return m.err.Error() }
-func (m *markedError) Unwrap() error { return m.err }
-
-// Transient marks err as retryable regardless of its shape.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &markedError{err: err, class: ClassTransient}
-}
-
-// Fatal marks err as non-retryable regardless of its shape.
-func Fatal(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &markedError{err: err, class: ClassFatal}
-}
-
-// Classify is the default classifier: explicit marks win, then HTTP
-// status (5xx and 429 are transient), then transport-level signals
+// Classify decides whether an error is worth retrying: HTTP status
+// first (5xx and 429 are transient), then transport-level signals
 // (timeouts, connection resets/refusals, truncated bodies). Everything
 // unrecognized is fatal — retrying an error we cannot attribute to
 // infrastructure risks hammering a server with a request it already
@@ -98,10 +71,6 @@ func Fatal(err error) error {
 func Classify(err error) Class {
 	if err == nil {
 		return ClassFatal
-	}
-	var marked *markedError
-	if errors.As(err, &marked) {
-		return marked.class
 	}
 	var httpErr *HTTPError
 	if errors.As(err, &httpErr) {
@@ -128,44 +97,6 @@ func Classify(err error) Class {
 	return ClassFatal
 }
 
-// Budget caps the total number of retries (attempts beyond each
-// operation's first try) a group of operations may spend, preventing
-// retry amplification when a whole backend goes down: once the budget
-// is exhausted every operation gets exactly one try. The zero value
-// has no budget to spend; share one *Budget across policies to bound a
-// subsystem.
-type Budget struct {
-	// Max is the total number of retries the budget grants.
-	Max int64
-
-	used atomic.Int64
-}
-
-// take consumes one retry from the budget, reporting whether one was
-// available. A nil budget is unlimited.
-func (b *Budget) take() bool {
-	if b == nil {
-		return true
-	}
-	for {
-		u := b.used.Load()
-		if u >= b.Max {
-			return false
-		}
-		if b.used.CompareAndSwap(u, u+1) {
-			return true
-		}
-	}
-}
-
-// Used reports how many retries the budget has granted so far.
-func (b *Budget) Used() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.used.Load()
-}
-
 // Policy is a deterministic exponential-backoff retry policy. The zero
 // value (and a nil *Policy) performs no retries; Default returns the
 // production configuration. Policies are safe for concurrent use.
@@ -173,26 +104,12 @@ type Policy struct {
 	// MaxAttempts bounds the total tries per operation, first try
 	// included (default 4: one try plus three retries).
 	MaxAttempts int
-	// BaseDelay is the sleep before the first retry (default 50ms).
+	// BaseDelay is the sleep before the first retry (default 50ms);
+	// each further retry doubles it, up to 5s.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (default 5s).
-	MaxDelay time.Duration
-	// Multiplier grows the delay per retry (default 2).
-	Multiplier float64
-	// Classify decides which errors are worth retrying (default
-	// Classify).
-	Classify func(error) Class
-	// Budget, when set, bounds total retries across every operation
-	// sharing it.
-	Budget *Budget
-	// Breaker, when set, short-circuits calls while the backend is
-	// failing hard (see Breaker).
-	Breaker *Breaker
 	// Metrics, when set, records daas_retry_attempts_total{op},
 	// daas_retry_retries_total{op}, and daas_retry_giveups_total{op}.
 	Metrics *obs.Registry
-	// Logger, when set, receives one Debug event per retry.
-	Logger *obs.Logger
 	// Sleep is the backoff sleeper, injectable for tests. The default
 	// honors ctx cancellation. It never runs with a zero or negative
 	// duration.
@@ -223,11 +140,14 @@ func (p *Policy) metrics() *policyMetrics {
 		p.pm = policyMetrics{
 			attempts: p.Metrics.CounterVec("daas_retry_attempts_total", "tries per retryable operation (first try included)", "op"),
 			retries:  p.Metrics.CounterVec("daas_retry_retries_total", "retries performed after transient failures", "op"),
-			giveups:  p.Metrics.CounterVec("daas_retry_giveups_total", "operations abandoned with attempts or budget exhausted", "op"),
+			giveups:  p.Metrics.CounterVec("daas_retry_giveups_total", "operations abandoned with attempts exhausted", "op"),
 		}
 	})
 	return &p.pm
 }
+
+// maxDelay caps the backoff between two tries.
+const maxDelay = 5 * time.Second
 
 // Default returns the production retry policy: 4 attempts, 50ms base
 // delay doubling to a 5s cap.
@@ -249,42 +169,14 @@ func (p *Policy) baseDelay() time.Duration {
 	return 50 * time.Millisecond
 }
 
-func (p *Policy) maxDelay() time.Duration {
-	if p.MaxDelay > 0 {
-		return p.MaxDelay
-	}
-	return 5 * time.Second
-}
-
-func (p *Policy) multiplier() float64 {
-	if p.Multiplier > 1 {
-		return p.Multiplier
-	}
-	return 2
-}
-
-func (p *Policy) classify(err error) Class {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return Classify(err)
-}
-
 // Delay returns the deterministic backoff before retry number retry
-// (1-based): BaseDelay·Multiplier^(retry-1), capped at MaxDelay.
+// (1-based): BaseDelay·2^(retry-1), capped at 5s.
 func (p *Policy) Delay(retry int) time.Duration {
-	d := float64(p.baseDelay())
-	mul := p.multiplier()
-	for i := 1; i < retry; i++ {
-		d *= mul
-		if d >= float64(p.maxDelay()) {
-			return p.maxDelay()
-		}
+	d := p.baseDelay()
+	for i := 1; i < retry && d < maxDelay; i++ {
+		d *= 2
 	}
-	if d >= float64(p.maxDelay()) {
-		return p.maxDelay()
-	}
-	return time.Duration(d)
+	return min(d, maxDelay)
 }
 
 func (p *Policy) sleep(ctx context.Context, d time.Duration) error {
@@ -303,9 +195,8 @@ func (p *Policy) sleep(ctx context.Context, d time.Duration) error {
 
 // Do runs fn under the policy: transient failures are retried with
 // exponential backoff until success, a fatal error, attempt
-// exhaustion, budget exhaustion, an open breaker, or ctx cancellation.
-// The returned error is fn's last error (or the breaker's / context's
-// refusal), never a new synthetic one, so callers' error wrapping and
+// exhaustion, or ctx cancellation. The returned error is fn's last
+// error, never a new synthetic one, so callers' error wrapping and
 // inspection work unchanged. A nil policy runs fn exactly once.
 func (p *Policy) Do(ctx context.Context, op string, fn func() error) error {
 	if p == nil {
@@ -314,30 +205,17 @@ func (p *Policy) Do(ctx context.Context, op string, fn func() error) error {
 	pm := p.metrics()
 	max := p.maxAttempts()
 	for attempt := 1; ; attempt++ {
-		if err := p.Breaker.Allow(); err != nil {
-			pm.giveups.With(op).Inc()
-			return fmt.Errorf("retry: %s: %w", op, err)
-		}
 		pm.attempts.With(op).Inc()
 		err := fn()
-		if err == nil {
-			p.Breaker.Record(false)
-			return nil
-		}
-		class := p.classify(err)
-		p.Breaker.Record(class == ClassTransient)
-		if class != ClassTransient {
+		if err == nil || Classify(err) != ClassTransient {
 			return err
 		}
-		if attempt >= max || ctx.Err() != nil || !p.Budget.take() {
+		if attempt >= max || ctx.Err() != nil {
 			pm.giveups.With(op).Inc()
 			return err
 		}
 		pm.retries.With(op).Inc()
-		delay := p.Delay(attempt)
-		p.Logger.Debug("retrying after transient failure",
-			"op", op, "attempt", attempt, "delay", delay.String(), "err", err.Error())
-		if serr := p.sleep(ctx, delay); serr != nil {
+		if serr := p.sleep(ctx, p.Delay(attempt)); serr != nil {
 			return err
 		}
 	}

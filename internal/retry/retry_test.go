@@ -14,6 +14,9 @@ import (
 	"repro/internal/retry"
 )
 
+// unavailable is a transient failure by shape: the gateway's 503.
+var unavailable = &retry.HTTPError{Status: 503}
+
 // recordedSleeps swaps the policy's sleeper for an instant recorder.
 func recordedSleeps(p *retry.Policy) *[]time.Duration {
 	var sleeps []time.Duration
@@ -31,7 +34,7 @@ func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 	err := p.Do(context.Background(), "op", func() error {
 		calls++
 		if calls < 3 {
-			return retry.Transient(errors.New("flaky"))
+			return unavailable
 		}
 		return nil
 	})
@@ -74,12 +77,11 @@ func TestDoBoundedAttempts(t *testing.T) {
 	p := &retry.Policy{MaxAttempts: 3, Metrics: reg}
 	recordedSleeps(p)
 	calls := 0
-	base := errors.New("still down")
 	err := p.Do(context.Background(), "op", func() error {
 		calls++
-		return retry.Transient(base)
+		return unavailable
 	})
-	if !errors.Is(err, base) {
+	if !errors.Is(err, unavailable) {
 		t.Fatalf("Do = %v, want last error", err)
 	}
 	if calls != 3 {
@@ -94,18 +96,17 @@ func TestDoBoundedAttempts(t *testing.T) {
 }
 
 func TestDelayCapsAtMaxDelay(t *testing.T) {
-	p := &retry.Policy{BaseDelay: time.Second, MaxDelay: 3 * time.Second}
-	if d := p.Delay(1); d != time.Second {
-		t.Errorf("Delay(1) = %v", d)
-	}
-	if d := p.Delay(2); d != 2*time.Second {
-		t.Errorf("Delay(2) = %v", d)
-	}
-	if d := p.Delay(3); d != 3*time.Second {
-		t.Errorf("Delay(3) = %v, want capped 3s", d)
-	}
-	if d := p.Delay(20); d != 3*time.Second {
-		t.Errorf("Delay(20) = %v, want capped 3s", d)
+	p := &retry.Policy{BaseDelay: time.Second}
+	for n, want := range map[int]time.Duration{
+		1:  time.Second,
+		2:  2 * time.Second,
+		3:  4 * time.Second,
+		4:  5 * time.Second, // 8s, capped
+		20: 5 * time.Second,
+	} {
+		if d := p.Delay(n); d != want {
+			t.Errorf("Delay(%d) = %v, want %v", n, d, want)
+		}
 	}
 }
 
@@ -114,30 +115,10 @@ func TestNilPolicyRunsOnce(t *testing.T) {
 	calls := 0
 	err := p.Do(context.Background(), "op", func() error {
 		calls++
-		return retry.Transient(errors.New("flaky"))
+		return unavailable
 	})
 	if err == nil || calls != 1 {
 		t.Errorf("nil policy: calls = %d, err = %v; want 1 call, error through", calls, err)
-	}
-}
-
-func TestBudgetBoundsRetriesAcrossOps(t *testing.T) {
-	budget := &retry.Budget{Max: 2}
-	p := &retry.Policy{MaxAttempts: 10, Budget: budget}
-	recordedSleeps(p)
-	totalCalls := 0
-	for i := 0; i < 3; i++ {
-		_ = p.Do(context.Background(), "op", func() error {
-			totalCalls++
-			return retry.Transient(errors.New("down"))
-		})
-	}
-	// 3 first tries plus the 2 budgeted retries.
-	if totalCalls != 5 {
-		t.Errorf("total calls = %d, want 5 (budget caps retries at 2)", totalCalls)
-	}
-	if budget.Used() != 2 {
-		t.Errorf("budget used = %d, want 2", budget.Used())
 	}
 }
 
@@ -146,15 +127,14 @@ func TestDoRespectsContextCancellation(t *testing.T) {
 	recordedSleeps(p)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	base := errors.New("down")
 	err := p.Do(ctx, "op", func() error {
 		calls++
 		if calls == 2 {
 			cancel()
 		}
-		return retry.Transient(base)
+		return unavailable
 	})
-	if !errors.Is(err, base) {
+	if !errors.Is(err, unavailable) {
 		t.Fatalf("Do = %v", err)
 	}
 	if calls != 2 {
@@ -178,91 +158,11 @@ func TestClassify(t *testing.T) {
 		{"net timeout", &net.DNSError{IsTimeout: true}, retry.ClassTransient},
 		{"context canceled", context.Canceled, retry.ClassFatal},
 		{"plain error", errors.New("no such method"), retry.ClassFatal},
-		{"marked transient", retry.Transient(errors.New("anything")), retry.ClassTransient},
-		{"marked fatal", retry.Fatal(&retry.HTTPError{Status: 503}), retry.ClassFatal},
 	}
 	for _, tc := range cases {
 		if got := retry.Classify(tc.err); got != tc.want {
 			t.Errorf("Classify(%s) = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-func TestBreakerOpensHalfOpensCloses(t *testing.T) {
-	now := time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
-	reg := obs.NewRegistry()
-	b := &retry.Breaker{
-		Threshold: 2,
-		Cooldown:  10 * time.Second,
-		Now:       func() time.Time { return now },
-		Metrics:   reg,
-		Scope:     "test",
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatalf("closed breaker refused: %v", err)
-	}
-	b.Record(true)
-	b.Record(true) // threshold reached → open
-	if got := b.State(); got != retry.StateOpen {
-		t.Fatalf("state = %v, want open", got)
-	}
-	if err := b.Allow(); !errors.Is(err, retry.ErrOpen) {
-		t.Fatalf("open breaker admitted a call (err = %v)", err)
-	}
-	// Cooldown elapses → half-open, exactly one probe admitted.
-	now = now.Add(11 * time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open breaker refused the probe: %v", err)
-	}
-	if err := b.Allow(); !errors.Is(err, retry.ErrOpen) {
-		t.Fatalf("half-open breaker admitted a second probe (err = %v)", err)
-	}
-	// Probe fails → open again for a full cooldown.
-	b.Record(true)
-	if got := b.State(); got != retry.StateOpen {
-		t.Fatalf("state after failed probe = %v, want open", got)
-	}
-	now = now.Add(11 * time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("second probe refused: %v", err)
-	}
-	// Probe succeeds → closed.
-	b.Record(false)
-	if got := b.State(); got != retry.StateClosed {
-		t.Fatalf("state after successful probe = %v, want closed", got)
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatalf("closed breaker refused: %v", err)
-	}
-	if got := reg.GaugeVec("daas_breaker_state", "", "scope").With("test").Value(); got != int64(retry.StateClosed) {
-		t.Errorf("daas_breaker_state = %d, want %d", got, retry.StateClosed)
-	}
-}
-
-func TestPolicyFailsFastWhileBreakerOpen(t *testing.T) {
-	now := time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC)
-	b := &retry.Breaker{Threshold: 1, Cooldown: time.Hour, Now: func() time.Time { return now }}
-	p := &retry.Policy{MaxAttempts: 10, Breaker: b}
-	recordedSleeps(p)
-	calls := 0
-	_ = p.Do(context.Background(), "op", func() error {
-		calls++
-		return retry.Transient(errors.New("down"))
-	})
-	// First transient failure trips the Threshold=1 breaker; the retry
-	// loop's next Allow refuses, so only one call lands.
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (breaker opened mid-retry)", calls)
-	}
-	err := p.Do(context.Background(), "op", func() error {
-		calls++
-		return nil
-	})
-	if !errors.Is(err, retry.ErrOpen) {
-		t.Fatalf("Do under open breaker = %v, want ErrOpen", err)
-	}
-	if calls != 1 {
-		t.Errorf("open breaker still admitted a call")
 	}
 }
 

@@ -48,13 +48,14 @@ go test -count=1 -run 'TestClusterMatchesTruth|TestClusterEdgeAblation' ./intern
 echo "==> radar stream: dataset shape deterministic under concurrent screening load"
 go test -count=1 -run 'TestRadarStreamDeterministic' ./internal/loadgen/
 
-echo "==> perfbench module tests: metric lists, traced-vs-untraced radar and study exports"
-(cd perfbench && GOPROXY=off GOFLAGS= GOWORK=off go test -count=1 ./...)
+# perfbench is its own module, so the root `go vet ./...` skips it.
+echo "==> perfbench module: vet, then tests of metric lists, traced-vs-untraced radar and study exports"
+(cd perfbench && GOPROXY=off GOFLAGS= GOWORK=off go vet ./... && GOPROXY=off GOFLAGS= GOWORK=off go test -count=1 ./...)
 
 echo "==> benchdiff self-test: the gate demonstrably fails on an injected slowdown"
 go test -count=1 ./cmd/benchdiff/
 
-echo "==> fault-matrix smoke: seeded fault schedules must not change the dataset"
+echo "==> fault-matrix smoke: seeded transport faults under a retrying JSON-RPC client must not change the dataset"
 go test -count=1 -run 'TestFaultMatrixBuildIsByteIdentical' ./daas/
 
 echo "==> corruption-matrix smoke: injected corruption is quarantined, export stays byte-identical"
