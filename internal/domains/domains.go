@@ -30,20 +30,37 @@ var Keywords = []string{
 // counts as a keyword look-alike (§8.2 uses 0.8).
 const SimilarityThreshold = 0.8
 
-// Levenshtein returns the edit distance between two strings.
+// levenshteinStack is the longest input, in runes, that Levenshtein
+// holds in stack buffers; every keyword and most domain tokens fit.
+const levenshteinStack = 32
+
+// Levenshtein returns the edit distance between two strings. Inputs of
+// up to levenshteinStack runes each are measured without allocating.
 func Levenshtein(a, b string) int {
 	if a == b {
 		return 0
 	}
-	ra, rb := []rune(a), []rune(b)
+	var bufA, bufB [levenshteinStack]rune
+	var rowA, rowB [levenshteinStack + 1]int
+	ra, ok := appendRunes(bufA[:0], a)
+	if !ok {
+		ra = []rune(a)
+	}
+	rb, ok := appendRunes(bufB[:0], b)
+	if !ok {
+		rb = []rune(b)
+	}
 	if len(ra) == 0 {
 		return len(rb)
 	}
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	prev, cur := rowA[:], rowB[:]
+	if len(rb) > levenshteinStack {
+		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
+	}
+	prev, cur = prev[:len(rb)+1], cur[:len(rb)+1]
 	for j := range prev {
 		prev[j] = j
 	}
@@ -59,6 +76,18 @@ func Levenshtein(a, b string) int {
 		prev, cur = cur, prev
 	}
 	return prev[len(rb)]
+}
+
+// appendRunes decodes s into buf's spare capacity, reporting false
+// when s has more runes than fit.
+func appendRunes(buf []rune, s string) ([]rune, bool) {
+	for _, r := range s {
+		if len(buf) == cap(buf) {
+			return nil, false
+		}
+		buf = append(buf, r)
+	}
+	return buf, true
 }
 
 func min3(a, b, c int) int {

@@ -215,3 +215,36 @@ func TestSimilarity(t *testing.T) {
 		t.Skip()
 	}
 }
+
+// TestLevenshteinKeywordPairAllocFree: the per-token, per-keyword
+// distance of the §8.2 filter allocates nothing for keyword-sized
+// inputs.
+func TestLevenshteinKeywordPairAllocFree(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Levenshtein("clalm", "claim") }); n != 0 {
+		t.Errorf("Levenshtein(clalm, claim) made %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Similarity("registratlon", "registration") }); n != 0 {
+		t.Errorf("Similarity(registratlon, registration) made %v allocations, want 0", n)
+	}
+}
+
+// TestLevenshteinLongInputs: inputs past the stack buffers take the
+// heap path and agree with inputs that fit.
+func TestLevenshteinLongInputs(t *testing.T) {
+	long := strings.Repeat("ab", levenshteinStack)
+	for _, c := range []struct {
+		a, b string
+		want int
+	}{
+		{long, long + "c", 1},
+		{long + "c", long, 1},
+		{long, "ab", len(long) - 2},
+		{"ab", long, len(long) - 2},
+		{long, "", len(long)},
+		{strings.Repeat("é", levenshteinStack+1), strings.Repeat("e", levenshteinStack+1), levenshteinStack + 1},
+	} {
+		if got := Levenshtein(c.a, c.b); got != c.want {
+			t.Errorf("Levenshtein(%d runes, %d runes) = %d, want %d", len(c.a), len(c.b), got, c.want)
+		}
+	}
+}

@@ -87,6 +87,8 @@ func HashContent(content []byte) string {
 }
 
 // Corpus is the fingerprint database (867 fingerprints in the paper).
+// Once built, it is safe for concurrent MatchFile and MatchSite calls;
+// Add must not run concurrently with anything else.
 type Corpus struct {
 	byName map[string][]Fingerprint
 	count  int

@@ -70,6 +70,9 @@ go test -count=1 -run 'TestQuarantinedCheckpointResumeRoundTrip' ./daas/
 echo "==> integrity fuzz smoke: validators are total over the seed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzValidateRecord' -fuzztime 10s ./internal/integrity/
 
+echo "==> script-src fuzz smoke: the crawler's script scanner returns exactly the reference regexp's submatches over the seed corpus + 10s of new inputs"
+go test -count=1 -run=NONE -fuzz 'FuzzScriptSrcs' -fuzztime 10s ./internal/crawler/
+
 echo "==> fingerprint agreement: static fingerprints match dynamic prober verdicts for every style x family"
 go test -count=1 -run 'TestFingerprintAgreementMatrix|TestStaticDynamicAgreement' ./internal/contracts/
 
@@ -95,6 +98,17 @@ echo "==> chaos soak: race-checked hardened server under hostile traffic with a 
 go test -race -count=1 -run 'TestChaosSoak' ./internal/loadgen/
 
 # ---- Benchmark artifacts + regression gates ------------------------
+# tee_err copies its input to stdout and to this script's own stderr.
+# `tee /dev/stderr` reopens the file behind fd 2: plain, it truncates a
+# redirected log; with -a, writes through a `>`-opened stdout overwrite
+# its appends. Writing through the inherited descriptor keeps both.
+tee_err() {
+  while IFS= read -r line || [ -n "$line" ]; do
+    printf '%s\n' "$line"
+    printf '%s\n' "$line" >&2
+  done
+}
+
 # Each suite is emitted as a daas-bench/v1 JSON artifact and gated
 # against the committed baseline in scripts/bench/. Timing metrics get
 # a generous 5x tolerance (CI machines vary); shape metrics (profit-txs
@@ -106,42 +120,42 @@ go test -race -count=1 -run 'TestChaosSoak' ./internal/loadgen/
 echo "==> bench: pipeline suite -> BENCH_pipeline.json"
 go test -run=NONE -bench 'BenchmarkPipelineConcurrency|BenchmarkLoadgenSource|BenchmarkLoadgenOpenLoop|BenchmarkLoadgenPipeline' \
   -benchtime=1x . ./internal/loadgen/ \
-  | tee /dev/stderr \
+  | tee_err \
   | go run ./cmd/benchdiff emit -suite pipeline -o BENCH_pipeline.json
 go run ./cmd/benchdiff gate -current BENCH_pipeline.json \
   -baseline scripts/bench/BENCH_pipeline.baseline.json -tolerance 5
 
 echo "==> bench: rpc suite -> BENCH_rpc.json"
 go test -run=NONE -bench 'BenchmarkLoadgenRPC' -benchtime=1x ./internal/loadgen/ \
-  | tee /dev/stderr \
+  | tee_err \
   | go run ./cmd/benchdiff emit -suite rpc -o BENCH_rpc.json
 go run ./cmd/benchdiff gate -current BENCH_rpc.json \
   -baseline scripts/bench/BENCH_rpc.baseline.json -tolerance 5
 
 echo "==> bench: static suite -> BENCH_static.json"
 go test -run=NONE -bench 'BenchmarkStaticAnalyze' -benchtime=50x ./internal/evmstatic/ \
-  | tee /dev/stderr \
+  | tee_err \
   | go run ./cmd/benchdiff emit -suite static -o BENCH_static.json
 go run ./cmd/benchdiff gate -current BENCH_static.json \
   -baseline scripts/bench/BENCH_static.baseline.json -tolerance 5
 
 echo "==> bench: screen suite -> BENCH_screen.json"
 go test -run=NONE -bench 'BenchmarkScreenBatch' -benchtime=1x ./internal/loadgen/ \
-  | tee /dev/stderr \
+  | tee_err \
   | go run ./cmd/benchdiff emit -suite screen -o BENCH_screen.json
 go run ./cmd/benchdiff gate -current BENCH_screen.json \
   -baseline scripts/bench/BENCH_screen.baseline.json -tolerance 5
 
 echo "==> bench: radar suite -> BENCH_radar.json"
 go test -run=NONE -bench 'BenchmarkRadarStream' -benchtime=1x ./internal/loadgen/ \
-  | tee /dev/stderr \
+  | tee_err \
   | go run ./cmd/benchdiff emit -suite radar -o BENCH_radar.json
 go run ./cmd/benchdiff gate -current BENCH_radar.json \
   -baseline scripts/bench/BENCH_radar.baseline.json -tolerance 5
 
 echo "==> bench: chaos suite -> BENCH_chaos.json"
 go test -run=NONE -bench 'BenchmarkChaos' -benchtime=1x ./internal/loadgen/ \
-  | tee /dev/stderr \
+  | tee_err \
   | go run ./cmd/benchdiff emit -suite chaos -o BENCH_chaos.json
 go run ./cmd/benchdiff gate -current BENCH_chaos.json \
   -baseline scripts/bench/BENCH_chaos.baseline.json -tolerance 5
