@@ -16,10 +16,10 @@
 //     sink. (Writing tables to a caller-provided io.Writer is fine —
 //     the rule only fires on the process-global streams.)
 //   - internal/core must not call ChainSource.Transaction or
-//     ChainSource.Receipt directly: record fetches go through the
-//     SourceTransaction/SourceReceipt helpers, which honor context
-//     cancellation and keep quarantine semantics uniform. The helpers
-//     themselves (source.go) are the single allowed call site.
+//     ChainSource.Receipt directly: records are read through the
+//     source's core.Layer (core.LayerOf), which honors context
+//     cancellation and reads a quarantined record as a nil entry. The
+//     leaf adapter (stack.go) is the single allowed call site.
 //   - packages whose exports must be deterministic (internal/core,
 //     internal/cluster, internal/measure, internal/report,
 //     internal/evmstatic) must not call time.Now/time.Since or anything
@@ -27,11 +27,12 @@
 //     nondeterminism into exported datasets and reports. Latency
 //     instrumentation routes through obs.Now/obs.Since instead, which
 //     keeps the clock visibly observability-only.
-//   - only internal/core may type-assert or type-switch on the optional
-//     ChainSource extensions (core.ContextSource, BatchSource,
-//     CodeSource, StorageSource): everything else reads through a
-//     core.Layer stack, whose leaf adapter (core.NewLeaf) is the one
-//     place that probes a source's capabilities.
+//   - only internal/core/stack.go may type-assert or type-switch on
+//     the optional ChainSource extensions (core.ContextSource,
+//     BatchSource, CodeSource, StorageSource): everything else,
+//     internal/core included, reads through a core.Layer stack, whose
+//     leaf adapter (core.NewLeaf, in stack.go) is the one place that
+//     probes a source's capabilities.
 //
 // Usage: go run ./cmd/reprolint ./...
 //
@@ -90,7 +91,12 @@ type listedPackage struct {
 
 // run lints the packages matched by patterns and returns the findings
 // in deterministic order.
-func run(patterns []string) ([]string, error) {
+func run(patterns []string) ([]string, error) { return lint(patterns, nil) }
+
+// lint is run with the package at import path p linted as if it were
+// the module-relative path as[p], which lets a test fixture stand in
+// for a package whose rules depend on where it lives.
+func lint(patterns []string, as map[string]string) ([]string, error) {
 	pkgs, err := goList(patterns)
 	if err != nil {
 		return nil, err
@@ -116,7 +122,7 @@ func run(patterns []string) ([]string, error) {
 		if p.Standard || p.Module == nil {
 			continue
 		}
-		fs, err := lintPackage(p, imp)
+		fs, err := lintPackage(p, as[p.ImportPath], imp)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.ImportPath, err)
 		}
@@ -151,8 +157,9 @@ func goList(patterns []string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// lintPackage parses, type-checks, and lints one module package.
-func lintPackage(p *listedPackage, imp types.Importer) ([]string, error) {
+// lintPackage parses, type-checks, and lints one module package, as
+// the module-relative path rel when that is set.
+func lintPackage(p *listedPackage, rel string, imp types.Importer) ([]string, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range p.GoFiles {
@@ -171,21 +178,20 @@ func lintPackage(p *listedPackage, imp types.Importer) ([]string, error) {
 		return nil, fmt.Errorf("type-checking: %w", err)
 	}
 
-	rel := p.ImportPath
-	if p.Module != nil {
+	if rel == "" {
 		rel = strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, p.Module.Path), "/")
 	}
 	l := &linter{
-		fset:           fset,
-		info:           info,
-		banPanic:       strings.HasPrefix(rel, "internal/"),
-		banPrinting:    !strings.HasPrefix(rel, "cmd/") && !strings.HasPrefix(rel, "examples/"),
-		banProgress:    strings.HasPrefix(rel, "internal/") && rel != "internal/obs",
-		banDirectFetch: rel == "internal/core",
-		banClock:       deterministicPackages[rel],
-		banProbe:       rel != "internal/core",
+		fset:        fset,
+		info:        info,
+		banPanic:    strings.HasPrefix(rel, "internal/"),
+		banPrinting: !strings.HasPrefix(rel, "cmd/") && !strings.HasPrefix(rel, "examples/"),
+		banProgress: strings.HasPrefix(rel, "internal/") && rel != "internal/obs",
+		inCore:      rel == "internal/core",
+		banClock:    deterministicPackages[rel],
 	}
-	for _, f := range files {
+	for i, f := range files {
+		l.inStack = l.inCore && p.GoFiles[i] == "stack.go"
 		ast.Inspect(f, l.inspect)
 	}
 	return l.findings, nil
@@ -210,15 +216,15 @@ var deterministicPackages = map[string]bool{
 
 // linter walks one package's ASTs applying the rules.
 type linter struct {
-	fset           *token.FileSet
-	info           *types.Info
-	banPanic       bool
-	banPrinting    bool
-	banProgress    bool
-	banDirectFetch bool
-	banClock       bool
-	banProbe       bool
-	findings       []string
+	fset        *token.FileSet
+	info        *types.Info
+	banPanic    bool
+	banPrinting bool
+	banProgress bool
+	inCore      bool // internal/core: rule 5 applies
+	inStack     bool // the file is internal/core/stack.go, exempt from rules 5 and 7
+	banClock    bool
+	findings    []string
 }
 
 func (l *linter) reportf(pos token.Pos, format string, args ...any) {
@@ -226,10 +232,10 @@ func (l *linter) reportf(pos token.Pos, format string, args ...any) {
 }
 
 func (l *linter) inspect(n ast.Node) bool {
-	// Rule 7: capability probes on a ChainSource belong to
-	// internal/core. A type switch's clauses name the asserted types;
-	// its x.(type) guard carries none.
-	if l.banProbe {
+	// Rule 7: capability probes on a ChainSource belong to the leaf
+	// adapter in internal/core/stack.go. A type switch's clauses name
+	// the asserted types; its x.(type) guard carries none.
+	if !l.inStack {
 		switch n := n.(type) {
 		case *ast.TypeAssertExpr:
 			if n.Type != nil {
@@ -258,11 +264,11 @@ func (l *linter) inspect(n ast.Node) bool {
 		}
 	}
 
-	// Rule 5: in internal/core, record fetches must go through the
-	// SourceTransaction/SourceReceipt helpers; a direct interface call
-	// bypasses context cancellation and quarantine handling. source.go
-	// hosts the helpers and is the one allowed call site.
-	if l.banDirectFetch {
+	// Rule 5: in internal/core, records are read through the source's
+	// Layer; a direct interface call bypasses context cancellation and
+	// quarantine handling. The leaf adapter in stack.go is the one
+	// allowed call site.
+	if l.inCore && !l.inStack {
 		l.checkDirectFetch(call)
 	}
 
@@ -318,8 +324,7 @@ func (l *linter) inspect(n ast.Node) bool {
 }
 
 // checkDirectFetch flags method calls whose static receiver is the
-// core.ChainSource interface and whose name is Transaction or Receipt,
-// outside source.go.
+// core.ChainSource interface and whose name is Transaction or Receipt.
 func (l *linter) checkDirectFetch(call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -338,13 +343,7 @@ func (l *linter) checkDirectFetch(call *ast.CallExpr) {
 		named.Obj().Pkg() == nil || !strings.HasSuffix(named.Obj().Pkg().Path(), "internal/core") {
 		return
 	}
-	// source.go hosts the helpers; stack.go holds the leaf adapter,
-	// whose whole job is the direct call it instruments.
-	switch filepath.Base(l.fset.Position(call.Pos()).Filename) {
-	case "source.go", "stack.go":
-		return
-	}
-	l.reportf(call.Pos(), "direct ChainSource.%s call in internal/core: use core.Source%s so context and quarantine semantics apply", fn.Name(), fn.Name())
+	l.reportf(call.Pos(), "direct ChainSource.%s call in internal/core: read through core.LayerOf so context and quarantine semantics apply", fn.Name())
 }
 
 // capabilities are the optional ChainSource extensions rule 7 guards.
@@ -363,7 +362,7 @@ func (l *linter) checkProbe(typ ast.Expr) {
 		named.Obj().Pkg() == nil || !strings.HasSuffix(named.Obj().Pkg().Path(), "internal/core") {
 		return
 	}
-	l.reportf(typ.Pos(), "type assertion on core.%s outside internal/core: read through a core.Layer stack, whose leaf adapter probes source capabilities", named.Obj().Name())
+	l.reportf(typ.Pos(), "type assertion on core.%s outside internal/core/stack.go: read through core.LayerOf, whose leaf adapter probes source capabilities", named.Obj().Name())
 }
 
 // stdStream reports whether the expression is os.Stdout or os.Stderr,

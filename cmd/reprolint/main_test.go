@@ -20,3 +20,24 @@ func TestRule7CapabilityProbeOutsideCore(t *testing.T) {
 		t.Errorf("finding = %q, want the core.BatchSource assertion at probe.go:9", findings[0])
 	}
 }
+
+// TestCoreReadsThroughLayer lints a fixture as if it were internal/core
+// (and, as a dependency, the real internal/core): a capability probe
+// and a direct source call are allowed in stack.go and flagged in any
+// other file, source.go included.
+func TestCoreReadsThroughLayer(t *testing.T) {
+	findings, err := lint([]string{"./testdata/coreprobe"},
+		map[string]string{"repro/cmd/reprolint/testdata/coreprobe": "internal/core"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"admission.go:7:", "source.go:15:"}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), strings.Join(findings, "\n"))
+	}
+	for i, w := range want {
+		if !strings.Contains(findings[i], w) {
+			t.Errorf("finding %d = %q, want one at %s", i, findings[i], w)
+		}
+	}
+}

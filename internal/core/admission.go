@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -49,7 +48,7 @@ type Admission struct {
 	// incremental clusterer tallies family votes from it.
 	OnFold func(splits []Split)
 
-	source     ChainSource
+	layer      Layer
 	labels     *labels.Directory
 	classifier Classifier
 	coverage   *Coverage
@@ -78,7 +77,7 @@ type admissionMetrics struct {
 }
 
 // NewAdmission returns an admission over an empty dataset, reading
-// the chain through src and reporting its daas_pipeline_* fetch and
+// the chain through LayerOf(src) and reporting its daas_pipeline_* fetch and
 // admission counters to reg (nil disables them). cov, when set, books
 // every fetched pair and, per absorbed contract, the records the
 // integrity layer refused.
@@ -87,7 +86,7 @@ func NewAdmission(src ChainSource, lbls *labels.Directory, cls Classifier, cov *
 	return &Admission{
 		DS:         NewDataset(),
 		Classified: make(map[ethtypes.Hash]bool),
-		source:     src,
+		layer:      LayerOf(src),
 		labels:     lbls,
 		classifier: cls,
 		coverage:   cov,
@@ -115,7 +114,7 @@ func (a *Admission) Absorb(ctx context.Context, addr ethtypes.Address, found Dis
 	if _, known := a.DS.Contracts[addr]; known {
 		return nil, nil
 	}
-	hashes, err := a.source.TransactionsOf(addr)
+	hashes, err := a.layer.TransactionsOf(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -306,8 +305,8 @@ type fetched struct {
 	rec *chain.Receipt
 }
 
-// defaultBatchSize caps one BatchSource call: larger batches mean
-// fewer round trips but bigger responses.
+// defaultBatchSize caps one record read: larger batches mean fewer
+// round trips but bigger responses.
 const defaultBatchSize = 128
 
 // workers is the fetch parallelism for n jobs: concurrency, at least
@@ -317,60 +316,34 @@ func (a *Admission) workers(n int) int {
 }
 
 // fetchAll retrieves transactions and receipts for the given hashes, in
-// order. When Source can batch, the hashes collapse into a handful of
-// round trips; otherwise up to Concurrency workers fetch in parallel.
-// Outstanding work is cancelled as soon as any fetch fails.
+// order. It splits them into contiguous chunks of at most
+// defaultBatchSize, small enough that every worker gets one, and reads
+// each chunk's transactions, then its receipts, as one batch from the
+// layer on up to Concurrency workers: a batching source serves a chunk
+// in two round trips, any other source hash by hash on every worker.
+// Outstanding work is cancelled as soon as any read fails. A nil entry
+// is a quarantined record; its pair is dropped, not fatal.
 func (a *Admission) fetchAll(ctx context.Context, hashes []ethtypes.Hash) ([]fetched, error) {
 	out := make([]fetched, len(hashes))
 	if len(hashes) == 0 {
 		return out, nil
 	}
 	a.m.fetchBatch.Observe(float64(len(hashes)))
-	if bs, ok := a.source.(BatchSource); ok {
-		if err := a.fetchBatched(ctx, bs, hashes, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	a.m.fetchWorkers.Set(int64(a.workers(len(hashes))))
-	err := runWorkers(ctx, len(hashes), a.workers(len(hashes)), func(i int) error {
-		tx, rec, err := a.FetchOne(ctx, hashes[i])
-		if err != nil {
-			return err
-		}
-		out[i] = fetched{tx, rec}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// fetchBatched fills out[i] for hashes[i] through a BatchSource,
-// splitting the request into defaultBatchSize chunks fetched by up to
-// Concurrency workers.
-func (a *Admission) fetchBatched(ctx context.Context, bs BatchSource, hashes []ethtypes.Hash, out []fetched) error {
-	size := defaultBatchSize
+	w := a.workers(len(hashes))
+	size := min(defaultBatchSize, (len(hashes)+w-1)/w)
 	chunks := (len(hashes) + size - 1) / size
 	a.m.fetchWorkers.Set(int64(a.workers(chunks)))
-	return runWorkers(ctx, chunks, a.workers(chunks), func(c int) error {
+	err := runWorkers(ctx, chunks, a.workers(chunks), func(c int) error {
 		lo := c * size
-		hi := min(lo+size, len(hashes))
-		chunk := hashes[lo:hi]
-		txs, err := bs.BatchTransactions(chunk)
+		chunk := hashes[lo:min(lo+size, len(hashes))]
+		txs, err := a.layer.Transactions(ctx, chunk)
 		if err != nil {
-			return fmt.Errorf("core: batch-fetching %d transactions: %w", len(chunk), err)
+			return fmt.Errorf("core: fetching %d transactions from %s: %w", len(chunk), chunk[0], err)
 		}
-		recs, err := bs.BatchReceipts(chunk)
+		recs, err := a.layer.Receipts(ctx, chunk)
 		if err != nil {
-			return fmt.Errorf("core: batch-fetching %d receipts: %w", len(chunk), err)
+			return fmt.Errorf("core: fetching %d receipts from %s: %w", len(chunk), chunk[0], err)
 		}
-		if len(txs) != len(chunk) || len(recs) != len(chunk) {
-			return fmt.Errorf("core: batch source returned %d txs / %d receipts for %d hashes", len(txs), len(recs), len(chunk))
-		}
-		// A nil batch entry is a quarantined record (the integrity
-		// layer's degradation contract); the pair is dropped, not fatal.
 		var admitted int64
 		for i := range chunk {
 			if txs[i] == nil || recs[i] == nil {
@@ -384,37 +357,48 @@ func (a *Admission) fetchBatched(ctx context.Context, bs BatchSource, hashes []e
 		a.coverage.NoteFetched(admitted)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// FetchOne retrieves one transaction+receipt pair, wrapping any failure
-// with the hash and method so a failed worker is attributable. The
-// context reaches the wire when Source implements ContextSource, so
-// cancel-on-first-error aborts in-flight HTTP instead of waiting it out.
-// A quarantined record (ErrQuarantined, or a nil entry replayed from a
-// cache that stored a quarantined batch slot) degrades to a nil pair
-// instead of failing; callers skip nil pairs and account for them.
+// FetchOne retrieves one transaction+receipt pair through readPair. A
+// quarantined record degrades to a nil pair instead of failing;
+// callers skip nil pairs and account for them.
 func (a *Admission) FetchOne(ctx context.Context, h ethtypes.Hash) (*chain.Transaction, *chain.Receipt, error) {
-	tx, err := SourceTransaction(ctx, a.source, h)
+	tx, rec, err := readPair(ctx, a.layer, h)
 	if err != nil {
-		if errors.Is(err, ErrQuarantined) {
-			a.m.txQuarantined.Inc()
-			return nil, nil, nil
-		}
-		return nil, nil, fmt.Errorf("core: fetching transaction %s: %w", h, err)
+		return nil, nil, err
 	}
-	rec, err := SourceReceipt(ctx, a.source, h)
-	if err != nil {
-		if errors.Is(err, ErrQuarantined) {
-			a.m.txQuarantined.Inc()
-			return nil, nil, nil
-		}
-		return nil, nil, fmt.Errorf("core: fetching receipt %s: %w", h, err)
-	}
-	if tx == nil || rec == nil {
+	if tx == nil {
 		a.m.txQuarantined.Inc()
 		return nil, nil, nil
 	}
 	a.m.txFetched.Inc()
 	a.coverage.NoteFetched(1)
 	return tx, rec, nil
+}
+
+// readPair reads h's transaction and then its receipt as one-hash
+// reads from l, wrapping any failure with the hash so a failed read is
+// attributable. When either record is quarantined (a nil entry) both
+// results are nil, and a quarantined transaction skips its receipt.
+func readPair(ctx context.Context, l Layer, h ethtypes.Hash) (*chain.Transaction, *chain.Receipt, error) {
+	hs := []ethtypes.Hash{h}
+	txs, err := l.Transactions(ctx, hs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: fetching transaction %s: %w", h, err)
+	}
+	if txs[0] == nil {
+		return nil, nil, nil
+	}
+	recs, err := l.Receipts(ctx, hs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: fetching receipt %s: %w", h, err)
+	}
+	if recs[0] == nil {
+		return nil, nil, nil
+	}
+	return txs[0], recs[0], nil
 }

@@ -15,14 +15,10 @@ import (
 
 // Pipeline runs the four-step dataset construction of §5.1.
 type Pipeline struct {
+	// Source is the chain; Build reads it through LayerOf(Source).
 	Source     ChainSource
 	Labels     *labels.Directory
 	Classifier Classifier
-	// StaticPreFilter statically analyzes candidate bytecode (when
-	// Source implements CodeSource) and skips contracts that provably
-	// cannot split value, saving their full history scan. Purely an
-	// optimization: it never changes what the pipeline admits.
-	StaticPreFilter bool
 	// Concurrency sets the number of frontier accounts scanned in
 	// parallel and the number of parallel transaction+receipt fetches
 	// per scan. It matters when Source is a remote JSON-RPC endpoint
@@ -72,7 +68,6 @@ type pipelineMetrics struct {
 	iterations      *obs.Counter
 	frontier        *obs.Gauge
 	accountsScanned *obs.Counter
-	prefilterSkips  *obs.Counter
 	scanWorkers     *obs.Gauge
 	ckptWrites      *obs.Counter
 	ckptBytes       *obs.Gauge
@@ -86,7 +81,6 @@ func newPipelineMetrics(r *obs.Registry) pipelineMetrics {
 		iterations:      r.Counter("daas_pipeline_iterations_total", "expansion iterations executed (§5.1 step 4)"),
 		frontier:        r.Gauge("daas_pipeline_frontier_accounts", "accounts in the most recent expansion frontier"),
 		accountsScanned: r.Counter("daas_pipeline_accounts_scanned_total", "operator/affiliate accounts whose histories were walked"),
-		prefilterSkips:  r.Counter("daas_pipeline_prefilter_skips_total", "candidate contracts skipped by the static pre-filter"),
 		scanWorkers:     r.Gauge("daas_pipeline_scan_workers", "parallel frontier scanners used by the most recent expansion iteration"),
 		ckptWrites:      r.Counter("daas_checkpoint_writes_total", "pipeline checkpoints written to disk"),
 		ckptBytes:       r.Gauge("daas_checkpoint_bytes", "size of the most recent checkpoint file"),
@@ -340,10 +334,11 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 
 	// Step 1: collect phishing reports from the public sources and keep
 	// the contracts.
+	adm := p.admission(st)
 	_, collect := obs.Start(ctx, "pipeline.seed.collect")
 	var seedContracts []ethtypes.Address
 	for _, addr := range p.Labels.AllPhishing() {
-		isContract, err := p.Source.IsContract(addr)
+		isContract, err := adm.layer.IsContract(ctx, addr)
 		if err != nil {
 			collect.End()
 			return nil, fmt.Errorf("core: step 1: %w", err)
@@ -359,9 +354,8 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 	// Step 2 + 3: identify profit-sharing contracts among the reports
 	// and extract operator/affiliate accounts — the seed dataset.
 	_, absorb := obs.Start(ctx, "pipeline.seed.absorb")
-	adm := p.admission(st)
 	for _, addr := range seedContracts {
-		if err := p.absorbContract(ctx, adm, addr, DiscoverySeed); err != nil {
+		if _, err := adm.Absorb(ctx, addr, DiscoverySeed, math.MaxUint64); err != nil {
 			absorb.End()
 			return nil, fmt.Errorf("core: step 2: %w", err)
 		}
@@ -498,7 +492,7 @@ func (p *Pipeline) scanAccount(ctx context.Context, adm *Admission, acct ethtype
 	if err := ctx.Err(); err != nil {
 		return scanOutcome{err: err}
 	}
-	hashes, err := p.Source.TransactionsOf(acct)
+	hashes, err := adm.layer.TransactionsOf(ctx, acct)
 	if err != nil {
 		return scanOutcome{err: fmt.Errorf("core: step 4: %w", err)}
 	}
@@ -553,24 +547,11 @@ func (p *Pipeline) mergeScan(ctx context.Context, adm *Admission, acct ethtypes.
 		if !adm.Gate(splits, []ethtypes.Address{acct}) {
 			continue
 		}
-		if err := p.absorbContract(ctx, adm, contract, DiscoveryExpansion); err != nil {
+		if _, err := adm.Absorb(ctx, contract, DiscoveryExpansion, math.MaxUint64); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// absorbContract absorbs the whole history of a contract outside the
-// dataset, unless the static pre-filter rules it out first.
-func (p *Pipeline) absorbContract(ctx context.Context, adm *Admission, addr ethtypes.Address, found Discovery) error {
-	if p.staticSkip(addr) {
-		p.pm.prefilterSkips.Inc()
-		p.Logger.Debug("static pre-filter: contract cannot split value, skipping history scan",
-			"contract", addr.Short())
-		return nil
-	}
-	_, err := adm.Absorb(ctx, addr, found, math.MaxUint64)
-	return err
 }
 
 // admission returns the admission state over st, feeding each newly

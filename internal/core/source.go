@@ -30,8 +30,7 @@ type ChainSource interface {
 }
 
 // ContextSource is an optional ChainSource extension: sources whose
-// single-object fetches can be cancelled mid-flight. The pipeline's
-// fetch workers call the context variants when available, so
+// single-object fetches can be cancelled mid-flight, so that
 // cancel-on-first-error aborts in-flight HTTP requests instead of
 // letting them run to their transport timeout. A source stack's top
 // (Top) implements it, and its leaf (NewLeaf) uses the source's, so
@@ -41,36 +40,25 @@ type ContextSource interface {
 	ReceiptContext(ctx context.Context, h ethtypes.Hash) (*chain.Receipt, error)
 }
 
-// SourceTransaction fetches one transaction through src, using the
-// context-aware path when src supports it.
-func SourceTransaction(ctx context.Context, src ChainSource, h ethtypes.Hash) (*chain.Transaction, error) {
-	if cs, ok := src.(ContextSource); ok {
-		return cs.TransactionContext(ctx, h)
-	}
-	return src.Transaction(h)
-}
-
-// SourceReceipt fetches one receipt through src, using the
-// context-aware path when src supports it.
-func SourceReceipt(ctx context.Context, src ChainSource, h ethtypes.Hash) (*chain.Receipt, error) {
-	if cs, ok := src.(ContextSource); ok {
-		return cs.ReceiptContext(ctx, h)
-	}
-	return src.Receipt(h)
-}
-
 // BatchSource is an optional ChainSource extension: sources that can
 // serve many transactions or receipts in one round trip (JSON-RPC
-// array batching, bulk DB reads). The pipeline's fetchAll detects it
-// and collapses a frontier scan's N fetches into a handful of calls.
+// array batching, bulk DB reads), so a frontier scan's N fetches
+// collapse into a handful of calls.
 //
 // Implementations must return exactly one result per requested hash,
 // in request order. A source stack's top (Top) implements it, and its
 // leaf (NewLeaf) degrades to per-item calls when the source cannot
-// batch, so detection composes through wrapping.
+// batch, so batching composes through wrapping.
 type BatchSource interface {
 	BatchTransactions(hs []ethtypes.Hash) ([]*chain.Transaction, error)
 	BatchReceipts(hs []ethtypes.Hash) ([]*chain.Receipt, error)
+}
+
+// CodeSource is an optional ChainSource extension: sources that serve
+// runtime bytecode. Both LocalSource and the JSON-RPC client
+// implement it.
+type CodeSource interface {
+	Code(addr ethtypes.Address) ([]byte, error)
 }
 
 // LocalSource adapts an in-process chain to ChainSource.
@@ -98,7 +86,7 @@ func (s LocalSource) IsContract(addr ethtypes.Address) (bool, error) {
 	return s.Chain.IsContract(addr), nil
 }
 
-// Code implements CodeSource, enabling the static pre-filter.
+// Code implements CodeSource.
 func (s LocalSource) Code(addr ethtypes.Address) ([]byte, error) {
 	return s.Chain.CodeAt(addr), nil
 }

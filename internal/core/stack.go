@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,11 +12,11 @@ import (
 )
 
 // Layer is one stage of a chain-source stack: the fetch cache, the
-// integrity check, the retry policy, fault injection, and at the
-// bottom the leaf adapter over a ChainSource. Every read takes a
-// context, and record reads work on batches: Transactions and Receipts
-// return exactly one entry per requested hash, in request order, and a
-// nil entry means the record is quarantined.
+// integrity check, fault injection, and at the bottom the leaf adapter
+// over a ChainSource. Every read takes a context, and record reads
+// work on batches: Transactions and Receipts return exactly one entry
+// per requested hash, in request order, and a nil entry means the
+// record is quarantined.
 //
 // A layer embeds the Layer below it, so the reads it does not change
 // pass straight through; it writes only the methods it changes.
@@ -44,10 +45,22 @@ func ReceiptOp(hs []ethtypes.Hash) string {
 	return "BatchReceipts"
 }
 
+// LayerOf returns the stack core reads src through: the layers under
+// src's Top when src is one (or embeds one, as integrity.Source and
+// faults.Source do), and a leaf over src otherwise.
+func LayerOf(src ChainSource) Layer {
+	if s, ok := src.(interface{ layer() Layer }); ok {
+		return s.layer()
+	}
+	return NewLeaf(src, nil)
+}
+
 // leaf adapts a ChainSource to the Layer shape. It is the one place in
-// a stack that probes the source's optional extensions: a one-hash
+// the program that probes a source's optional extensions: a one-hash
 // read is the source's single (context) call, a larger batch goes to
-// its batch method when it has one and item by item otherwise. With a
+// its batch method when it has one and item by item otherwise. A
+// single call that fails with ErrQuarantined yields a nil entry, the
+// way a quarantined record reads everywhere else in a stack. With a
 // registry it records every call under the source's method name:
 //
 //	daas_chain_requests_total{method=…}
@@ -106,8 +119,7 @@ func (l *leaf) IsContract(_ context.Context, addr ethtypes.Address) (bool, error
 	return out, err
 }
 
-// Code implements Layer; the static pre-filter treats the error of a
-// source without bytecode as "keep the candidate".
+// Code implements Layer; a source without bytecode fails the read.
 func (l *leaf) Code(_ context.Context, addr ethtypes.Address) ([]byte, error) {
 	if l.code == nil {
 		return nil, fmt.Errorf("core: source %T does not serve bytecode", l.src)
@@ -151,7 +163,7 @@ func (l *leaf) Receipts(ctx context.Context, hs []ethtypes.Hash) ([]*chain.Recei
 // leafRead serves hs in one call through many when the source batches
 // and hs is not a single hash, and one call per hash through one
 // otherwise. It checks the one-result-per-hash contract for the whole
-// stack.
+// stack, and turns a single call's ErrQuarantined into a nil entry.
 func leafRead[T any](l *leaf, hs []ethtypes.Hash, single, batched string,
 	one func(ethtypes.Hash) (T, error), many func([]ethtypes.Hash) ([]T, error)) ([]T, error) {
 	if many != nil && len(hs) != 1 {
@@ -171,6 +183,9 @@ func leafRead[T any](l *leaf, hs []ethtypes.Hash, single, batched string,
 		start := obs.Now()
 		v, err := one(h)
 		l.observe(single, start, err)
+		if errors.Is(err, ErrQuarantined) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -189,6 +204,9 @@ type Top struct {
 
 // NewTop puts a ChainSource face on a stack of layers.
 func NewTop(l Layer) *Top { return &Top{l: l} }
+
+// layer is what LayerOf reads through.
+func (t *Top) layer() Layer { return t.l }
 
 // TransactionsOf implements ChainSource.
 func (t *Top) TransactionsOf(addr ethtypes.Address) ([]ethtypes.Hash, error) {

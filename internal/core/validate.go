@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -34,6 +33,7 @@ type ValidationReport struct {
 // Validator re-examines dataset entries the way the paper's analyst
 // team did.
 type Validator struct {
+	// Source is the chain; the review reads it through LayerOf(Source).
 	Source ChainSource
 	// SamplePerAccount is the number of most-recent transactions
 	// reviewed per account (the paper used 10).
@@ -58,6 +58,7 @@ func (v *Validator) Validate(ds *Dataset) (*ValidationReport, error) {
 	reviewed := make(map[ethtypes.Hash]bool)
 	strict := Classifier{} // default strict settings
 	lists := reviewLists(ds)
+	ctx, layer := context.Background(), LayerOf(v.Source)
 
 	reviewAccount := func(addr ethtypes.Address) (int, error) {
 		count, visited := 0, 0
@@ -74,23 +75,11 @@ func (v *Validator) Validate(ds *Dataset) (*ValidationReport, error) {
 			}
 			reviewed[h] = true
 			count++
-			tx, err := SourceTransaction(context.Background(), v.Source, h)
+			tx, r, err := readPair(ctx, layer, h)
 			if err != nil {
-				if errors.Is(err, ErrQuarantined) {
-					report.SkippedQuarantined++
-					continue
-				}
 				return count, err
 			}
-			r, err := SourceReceipt(context.Background(), v.Source, h)
-			if err != nil {
-				if errors.Is(err, ErrQuarantined) {
-					report.SkippedQuarantined++
-					continue
-				}
-				return count, err
-			}
-			if tx == nil || r == nil {
+			if tx == nil {
 				report.SkippedQuarantined++
 				continue
 			}

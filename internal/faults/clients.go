@@ -20,16 +20,13 @@ import (
 type Hostile struct {
 	// Addr is the server's host:port.
 	Addr string
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
 }
 
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 2 * time.Second
+
 func (h Hostile) dial() (net.Conn, error) {
-	d := h.DialTimeout
-	if d <= 0 {
-		d = 2 * time.Second
-	}
-	return net.DialTimeout("tcp", h.Addr, d)
+	return net.DialTimeout("tcp", h.Addr, dialTimeout)
 }
 
 // Slowloris opens a request that claims a large body and trickles one

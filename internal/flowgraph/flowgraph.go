@@ -74,8 +74,6 @@ type Tracer struct {
 	Labels *labels.Directory
 	// MaxDepth bounds hop chains (default 4).
 	MaxDepth int
-	// MinAmount prunes dust edges (default 0).
-	MinAmount ethtypes.Wei
 }
 
 // classify maps a labeled account to a sink class, if any.
@@ -136,8 +134,8 @@ func (tr *Tracer) walk(out *Trace, acct ethtypes.Address, hops []Hop, carried et
 			if t.From != acct || t.Asset.Kind != chain.AssetETH {
 				continue
 			}
-			if t.Amount.Cmp(tr.MinAmount) <= 0 {
-				continue
+			if t.Amount.Sign() <= 0 {
+				continue // a zero-value transfer moves no funds
 			}
 			if visited[t.To] {
 				continue

@@ -78,9 +78,6 @@ type Config struct {
 	Engine *screen.Engine
 	// Domains are phishing domains compiled into each snapshot.
 	Domains []string
-	// Static, when set, annotates contract records with bytecode
-	// fingerprints before each snapshot compile and export.
-	Static *core.StaticScreen
 	// PollInterval is the head poll cadence of Run (default 250ms).
 	PollInterval time.Duration
 	// ReorgWindow bounds rollback depth: the radar keeps this many
@@ -346,9 +343,7 @@ func (r *Radar) Step() (bool, error) {
 		}
 	}
 	if r.dirty {
-		if err := r.recompileLocked(); err != nil {
-			return advanced, err
-		}
+		r.recompileLocked()
 		r.dirty = false
 	}
 	r.m.pendingG.Set(int64(len(r.pending)))
@@ -711,16 +706,7 @@ func (r *Radar) rollupLocked() []*cluster.Family {
 // touched, and the snapshot is the last one with the records of the
 // admitted accounts and of those families' members upserted. After a
 // rollback, a failed block or a resume both start from empty.
-func (r *Radar) recompileLocked() error {
-	if r.cfg.Static != nil {
-		if err := r.adm.DS.AnnotateFingerprints(r.cfg.Static); err != nil {
-			return err
-		}
-		// A verdict can change without a dataset change (a proxy's
-		// storage), so fingerprints are rolled up from empty.
-		r.inc.Invalidate()
-		r.rebuild = true
-	}
+func (r *Radar) recompileLocked() {
 	fams := r.rollupLocked()
 	r.familyCount = len(fams)
 	r.m.familiesG.Set(int64(len(fams)))
@@ -753,7 +739,6 @@ func (r *Radar) recompileLocked() error {
 	clear(r.fresh)
 	clear(r.touched)
 	r.rebuild = false
-	return nil
 }
 
 // Families returns the current family rollup as copies the caller may
@@ -774,10 +759,5 @@ func (r *Radar) Families() []*cluster.Family {
 func (r *Radar) ExportJSON(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cfg.Static != nil {
-		if err := r.adm.DS.AnnotateFingerprints(r.cfg.Static); err != nil {
-			return err
-		}
-	}
 	return r.adm.DS.WriteJSON(w)
 }

@@ -205,58 +205,6 @@ func replayInSteps(t *testing.T, world *worldgen.World, gap func() int) (dsBytes
 	return radarExport(t, r)
 }
 
-// TestRadarStaticAnnotationMatchesBatch repeats the byte-identity
-// check with static fingerprint annotation enabled on both sides.
-func TestRadarStaticAnnotationMatchesBatch(t *testing.T) {
-	world := genWorld(t, 9)
-	srcWorld := core.LocalSource{Chain: world.Chain}
-	static := &core.StaticScreen{Source: srcWorld, Storage: srcWorld}
-
-	p := &core.Pipeline{Source: core.LocalSource{Chain: world.Chain}, Labels: world.Labels}
-	ds, err := p.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.AnnotateFingerprints(static); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := ds.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-
-	f := chain.NewFollower(world.Chain)
-	dst := f.Chain()
-	srcDst := core.LocalSource{Chain: dst}
-	r, err := radar.New(radar.Config{
-		Source: srcDst,
-		Blocks: radar.ChainBlocks{Chain: dst},
-		Labels: world.Labels,
-		Static: &core.StaticScreen{Source: srcDst, Storage: srcDst},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, ok := f.Advance(); !ok {
-			break
-		}
-		if _, err := r.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.Step(); err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := r.ExportJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("annotated radar export differs from annotated batch export")
-	}
-}
-
 // TestRadarCheckpointResume interrupts a radar mid-chain and resumes a
 // fresh daemon from its checkpoint: the final export must be
 // byte-identical to both an uninterrupted radar and the batch

@@ -78,8 +78,6 @@ type Detector struct {
 	CT      *ct.Client
 	Crawler *crawler.Crawler
 	Corpus  *toolkit.Corpus
-	// SimilarityThreshold defaults to domains.SimilarityThreshold.
-	SimilarityThreshold float64
 	// Logger receives structured progress events (nil discards them).
 	Logger *obs.Logger
 	// Metrics, when set, receives the §8.2 funnel counters
@@ -121,10 +119,6 @@ func (d *Detector) Run() (*Report, error) {
 		return nil, fmt.Errorf("sitehunt: Detector needs CT, Crawler, and Corpus")
 	}
 	fm := newFunnelMetrics(d.Metrics)
-	threshold := d.SimilarityThreshold
-	if threshold == 0 {
-		threshold = domains.SimilarityThreshold
-	}
 	report := &Report{}
 	var phishingDomains []string
 	seen := make(map[string]bool)
@@ -140,7 +134,7 @@ func (d *Detector) Run() (*Report, error) {
 		report.CertsSeen += len(entries)
 		fm.certs.Add(uint64(len(entries)))
 		slots := newSlots(entries, seen)
-		d.check(slots, threshold)
+		d.check(slots)
 		for i := range slots {
 			s := &slots[i]
 			if s.certErr != nil {
@@ -222,7 +216,7 @@ func newSlots(entries []ct.Entry, seen map[string]bool) []slot {
 
 // check filters, crawls and matches the slots' domains on GOMAXPROCS
 // workers, each taking the next unclaimed slot and writing only to it.
-func (d *Detector) check(slots []slot, threshold float64) {
+func (d *Detector) check(slots []slot) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(runtime.GOMAXPROCS(0), len(slots)) {
@@ -230,18 +224,18 @@ func (d *Detector) check(slots []slot, threshold float64) {
 		go func() {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < int64(len(slots)); i = next.Add(1) - 1 {
-				d.checkOne(&slots[i], threshold)
+				d.checkOne(&slots[i])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-func (d *Detector) checkOne(s *slot, threshold float64) {
+func (d *Detector) checkOne(s *slot) {
 	if s.certErr != nil {
 		return
 	}
-	s.match, s.suspicious = domains.Suspicious(s.domain, threshold)
+	s.match, s.suspicious = domains.Suspicious(s.domain, domains.SimilarityThreshold)
 	if !s.suspicious {
 		return
 	}

@@ -109,55 +109,58 @@ tee_err() {
   done
 }
 
-# Each suite is emitted as a daas-bench/v1 JSON artifact and gated
-# against the committed baseline in scripts/bench/. Timing metrics get
-# a generous 5x tolerance (CI machines vary); shape metrics (profit-txs
+# Each suite is emitted as a daas-bench/v1 JSON artifact under the
+# ignored $bench_dir, so a run leaves the tree clean, and gated against
+# the committed baseline in scripts/bench/. Timing metrics get a
+# generous 5x tolerance (CI machines vary); shape metrics (profit-txs
 # and friends) are deterministic and gate tight. A missing baseline
 # bootstraps itself; record intentional changes with
-#   go run ./cmd/benchdiff gate -current BENCH_x.json \
+#   go run ./cmd/benchdiff gate -current .bench_build/bench/BENCH_x.json \
 #     -baseline scripts/bench/BENCH_x.baseline.json -update
+bench_dir=.bench_build/bench
+mkdir -p "$bench_dir"
 
-echo "==> bench: pipeline suite -> BENCH_pipeline.json"
+echo "==> bench: pipeline suite -> $bench_dir/BENCH_pipeline.json"
 go test -run=NONE -bench 'BenchmarkPipelineConcurrency|BenchmarkLoadgenSource|BenchmarkLoadgenOpenLoop|BenchmarkLoadgenPipeline' \
   -benchtime=1x . ./internal/loadgen/ \
   | tee_err \
-  | go run ./cmd/benchdiff emit -suite pipeline -o BENCH_pipeline.json
-go run ./cmd/benchdiff gate -current BENCH_pipeline.json \
+  | go run ./cmd/benchdiff emit -suite pipeline -o "$bench_dir/BENCH_pipeline.json"
+go run ./cmd/benchdiff gate -current "$bench_dir/BENCH_pipeline.json" \
   -baseline scripts/bench/BENCH_pipeline.baseline.json -tolerance 5
 
-echo "==> bench: rpc suite -> BENCH_rpc.json"
+echo "==> bench: rpc suite -> $bench_dir/BENCH_rpc.json"
 go test -run=NONE -bench 'BenchmarkLoadgenRPC' -benchtime=1x ./internal/loadgen/ \
   | tee_err \
-  | go run ./cmd/benchdiff emit -suite rpc -o BENCH_rpc.json
-go run ./cmd/benchdiff gate -current BENCH_rpc.json \
+  | go run ./cmd/benchdiff emit -suite rpc -o "$bench_dir/BENCH_rpc.json"
+go run ./cmd/benchdiff gate -current "$bench_dir/BENCH_rpc.json" \
   -baseline scripts/bench/BENCH_rpc.baseline.json -tolerance 5
 
-echo "==> bench: static suite -> BENCH_static.json"
+echo "==> bench: static suite -> $bench_dir/BENCH_static.json"
 go test -run=NONE -bench 'BenchmarkStaticAnalyze' -benchtime=50x ./internal/evmstatic/ \
   | tee_err \
-  | go run ./cmd/benchdiff emit -suite static -o BENCH_static.json
-go run ./cmd/benchdiff gate -current BENCH_static.json \
+  | go run ./cmd/benchdiff emit -suite static -o "$bench_dir/BENCH_static.json"
+go run ./cmd/benchdiff gate -current "$bench_dir/BENCH_static.json" \
   -baseline scripts/bench/BENCH_static.baseline.json -tolerance 5
 
-echo "==> bench: screen suite -> BENCH_screen.json"
+echo "==> bench: screen suite -> $bench_dir/BENCH_screen.json"
 go test -run=NONE -bench 'BenchmarkScreenBatch' -benchtime=1x ./internal/loadgen/ \
   | tee_err \
-  | go run ./cmd/benchdiff emit -suite screen -o BENCH_screen.json
-go run ./cmd/benchdiff gate -current BENCH_screen.json \
+  | go run ./cmd/benchdiff emit -suite screen -o "$bench_dir/BENCH_screen.json"
+go run ./cmd/benchdiff gate -current "$bench_dir/BENCH_screen.json" \
   -baseline scripts/bench/BENCH_screen.baseline.json -tolerance 5
 
-echo "==> bench: radar suite -> BENCH_radar.json"
+echo "==> bench: radar suite -> $bench_dir/BENCH_radar.json"
 go test -run=NONE -bench 'BenchmarkRadarStream' -benchtime=1x ./internal/loadgen/ \
   | tee_err \
-  | go run ./cmd/benchdiff emit -suite radar -o BENCH_radar.json
-go run ./cmd/benchdiff gate -current BENCH_radar.json \
+  | go run ./cmd/benchdiff emit -suite radar -o "$bench_dir/BENCH_radar.json"
+go run ./cmd/benchdiff gate -current "$bench_dir/BENCH_radar.json" \
   -baseline scripts/bench/BENCH_radar.baseline.json -tolerance 5
 
-echo "==> bench: chaos suite -> BENCH_chaos.json"
+echo "==> bench: chaos suite -> $bench_dir/BENCH_chaos.json"
 go test -run=NONE -bench 'BenchmarkChaos' -benchtime=1x ./internal/loadgen/ \
   | tee_err \
-  | go run ./cmd/benchdiff emit -suite chaos -o BENCH_chaos.json
-go run ./cmd/benchdiff gate -current BENCH_chaos.json \
+  | go run ./cmd/benchdiff emit -suite chaos -o "$bench_dir/BENCH_chaos.json"
+go run ./cmd/benchdiff gate -current "$bench_dir/BENCH_chaos.json" \
   -baseline scripts/bench/BENCH_chaos.baseline.json -tolerance 5
 
 echo "==> reprolint ./..."
