@@ -1,11 +1,13 @@
 package daas_test
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"testing"
 
 	"repro/daas"
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/rpc"
 	"repro/internal/worldgen"
 )
@@ -110,5 +112,42 @@ func TestStudyWithoutOracle(t *testing.T) {
 	c := daas.New(core.LocalSource{Chain: world.Chain}, world.Labels, nil)
 	if _, err := c.Study(); err == nil {
 		t.Error("study without oracle succeeded")
+	}
+}
+
+// TestManifestIndependentOfConcurrency runs one study serially and on
+// four workers. Parallel scanners fetch speculatively ahead of the
+// merge, but the completeness manifest and every export must be
+// exactly the serial run's.
+func TestManifestIndependentOfConcurrency(t *testing.T) {
+	w, err := worldgen.Generate(worldgen.TestConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) (manifest, exports string) {
+		c := daas.New(core.LocalSource{Chain: w.Chain}, w.Labels, w.Oracle)
+		c.Concurrency = workers
+		study, err := c.StudyWith(daas.StudyOptions{DatasetEnd: worldgen.DatasetEnd, PrimaryContractTxs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m, e bytes.Buffer
+		report.RenderManifest(&m, c.Manifest(study))
+		if err := study.Dataset.WriteJSON(&e); err != nil {
+			t.Fatal(err)
+		}
+		if err := study.Dataset.WriteCSV(&e); err != nil {
+			t.Fatal(err)
+		}
+		report.Table2(&e, study.FamilyRows)
+		return m.String(), e.String()
+	}
+	serialManifest, serialExports := run(1)
+	parallelManifest, parallelExports := run(4)
+	if parallelManifest != serialManifest {
+		t.Errorf("manifest at concurrency 4:\n%s\nserial:\n%s", parallelManifest, serialManifest)
+	}
+	if parallelExports != serialExports {
+		t.Error("exports at concurrency 4 differ from the serial run's")
 	}
 }

@@ -45,10 +45,6 @@ type Family struct {
 	// an operator whose build-time scan was degraded): the family's
 	// membership is a lower bound, not a complete picture.
 	Tainted bool
-	// Fingerprints counts the family's contracts per static fingerprint
-	// name (populated when the dataset was annotated by the static
-	// screen; nil otherwise).
-	Fingerprints map[string]int
 }
 
 // Clone returns a deep copy of f, which the caller may modify.
@@ -57,7 +53,6 @@ func (f *Family) Clone() *Family {
 	c.Operators = slices.Clone(f.Operators)
 	c.Contracts = slices.Clone(f.Contracts)
 	c.Affiliates = slices.Clone(f.Affiliates)
-	c.Fingerprints = maps.Clone(f.Fingerprints)
 	return &c
 }
 

@@ -349,8 +349,7 @@ func (inc *Incremental) Rollup(ds *core.Dataset, degraded map[ethtypes.Address]b
 }
 
 // materialize builds the family of set s: §7.1 step 2 attribution of
-// contracts and affiliates through split votes, naming, taint and the
-// fingerprint rollup.
+// contracts and affiliates through split votes, naming and taint.
 func (inc *Incremental) materialize(r *rollup, s *opSet) *Family {
 	fam := &Family{
 		Operators:  slices.Clone(s.members),
@@ -364,18 +363,6 @@ func (inc *Incremental) materialize(r *rollup, s *opSet) *Family {
 		}
 	}
 	nameFamily(fam, inc.Labels, r.opSplits)
-	for _, con := range fam.Contracts {
-		rec := r.ds.Contracts[con]
-		if rec == nil {
-			continue
-		}
-		for _, fp := range rec.Fingerprints {
-			if fam.Fingerprints == nil {
-				fam.Fingerprints = make(map[string]int)
-			}
-			fam.Fingerprints[fp]++
-		}
-	}
 	return fam
 }
 

@@ -79,8 +79,8 @@ type admissionMetrics struct {
 // NewAdmission returns an admission over an empty dataset, reading
 // the chain through LayerOf(src) and reporting its daas_pipeline_* fetch and
 // admission counters to reg (nil disables them). cov, when set, books
-// every fetched pair and, per absorbed contract, the records the
-// integrity layer refused.
+// the pairs Absorb and FetchOne fetch and, per absorbed contract, the
+// records the integrity layer refused.
 func NewAdmission(src ChainSource, lbls *labels.Directory, cls Classifier, cov *Coverage,
 	reg *obs.Registry, onAdmit OnAdmit) *Admission {
 	return &Admission{
@@ -163,6 +163,7 @@ func (a *Admission) Absorb(ctx context.Context, addr ethtypes.Address, found Dis
 			return nil, err
 		}
 	}
+	a.coverage.NoteFetched(int64(len(fresh) - len(unfetched)))
 	a.coverage.NoteQuarantined(addr, int64(len(unfetched)))
 	return unfetched, nil
 }
@@ -322,7 +323,9 @@ func (a *Admission) workers(n int) int {
 // layer on up to Concurrency workers: a batching source serves a chunk
 // in two round trips, any other source hash by hash on every worker.
 // Outstanding work is cancelled as soon as any read fails. A nil entry
-// is a quarantined record; its pair is dropped, not fatal.
+// is a quarantined record; its pair is dropped, not fatal. fetchAll
+// books nothing in Coverage: a speculative scan may fetch pairs the
+// serial walk would skip, so its callers count the pairs they use.
 func (a *Admission) fetchAll(ctx context.Context, hashes []ethtypes.Hash) ([]fetched, error) {
 	out := make([]fetched, len(hashes))
 	if len(hashes) == 0 {
@@ -354,7 +357,6 @@ func (a *Admission) fetchAll(ctx context.Context, hashes []ethtypes.Hash) ([]fet
 			admitted++
 		}
 		a.m.txFetched.Add(uint64(admitted))
-		a.coverage.NoteFetched(admitted)
 		return nil
 	})
 	if err != nil {

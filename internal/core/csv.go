@@ -43,7 +43,7 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 
 	// Section 2: contracts.
 	cw = csv.NewWriter(w)
-	if err := cw.Write([]string{"contract", "found_via", "sources", "first_seen", "last_seen", "tx_count", "fingerprints", "static_flagged"}); err != nil {
+	if err := cw.Write([]string{"contract", "found_via", "sources", "first_seen", "last_seen", "tx_count"}); err != nil {
 		return err
 	}
 	for _, rec := range d.SortedContracts() {
@@ -54,16 +54,9 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 			}
 			sources += s
 		}
-		prints := ""
-		for i, f := range rec.Fingerprints {
-			if i > 0 {
-				prints += "|"
-			}
-			prints += f
-		}
 		if err := cw.Write([]string{rec.Address.Hex(), string(rec.Found), sources,
 			rec.FirstSeen.Format(time.RFC3339), rec.LastSeen.Format(time.RFC3339),
-			strconv.Itoa(rec.TxCount), prints, strconv.FormatBool(rec.StaticFlagged)}); err != nil {
+			strconv.Itoa(rec.TxCount)}); err != nil {
 			return err
 		}
 	}

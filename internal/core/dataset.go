@@ -27,11 +27,6 @@ type ContractRecord struct {
 	FirstSeen time.Time
 	LastSeen  time.Time
 	TxCount   int
-	// Fingerprints are the static engine's family names for the
-	// contract's bytecode, set by Dataset.AnnotateFingerprints.
-	Fingerprints []string
-	// StaticFlagged is the screen's scam-shape verdict.
-	StaticFlagged bool
 }
 
 // AccountRecord is one operator or affiliate account.

@@ -24,14 +24,12 @@ type datasetJSON struct {
 }
 
 type contractJSON struct {
-	Address      string   `json:"address"`
-	Found        string   `json:"found_via"`
-	Sources      []string `json:"sources,omitempty"`
-	FirstSeen    string   `json:"first_seen"`
-	LastSeen     string   `json:"last_seen"`
-	TxCount      int      `json:"tx_count"`
-	Fingerprints []string `json:"fingerprints,omitempty"`
-	Flagged      bool     `json:"static_flagged,omitempty"`
+	Address   string   `json:"address"`
+	Found     string   `json:"found_via"`
+	Sources   []string `json:"sources,omitempty"`
+	FirstSeen string   `json:"first_seen"`
+	LastSeen  string   `json:"last_seen"`
+	TxCount   int      `json:"tx_count"`
 }
 
 type accountJSON struct {
@@ -64,14 +62,12 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 	out := datasetJSON{SeedStats: d.SeedStats}
 	for _, c := range d.SortedContracts() {
 		out.Contracts = append(out.Contracts, contractJSON{
-			Address:      c.Address.Hex(),
-			Found:        string(c.Found),
-			Sources:      c.Sources,
-			FirstSeen:    c.FirstSeen.Format(time.RFC3339),
-			LastSeen:     c.LastSeen.Format(time.RFC3339),
-			TxCount:      c.TxCount,
-			Fingerprints: c.Fingerprints,
-			Flagged:      c.StaticFlagged,
+			Address:   c.Address.Hex(),
+			Found:     string(c.Found),
+			Sources:   c.Sources,
+			FirstSeen: c.FirstSeen.Format(time.RFC3339),
+			LastSeen:  c.LastSeen.Format(time.RFC3339),
+			TxCount:   c.TxCount,
 		})
 	}
 	for _, a := range d.SortedOperators() {
@@ -131,7 +127,6 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 		ds.Contracts[addr] = &ContractRecord{
 			Address: addr, Found: Discovery(c.Found), Sources: c.Sources,
 			FirstSeen: first, LastSeen: last, TxCount: c.TxCount,
-			Fingerprints: c.Fingerprints, StaticFlagged: c.Flagged,
 		}
 	}
 	readAccounts := func(list []accountJSON, into map[ethtypes.Address]*AccountRecord) error {

@@ -519,8 +519,18 @@ func (p *Pipeline) scanAccount(ctx context.Context, adm *Admission, acct ethtype
 }
 
 // mergeScan applies one account's scan outcome to the dataset. Always
-// called from a single goroutine, in frontier order.
+// called from a single goroutine, in frontier order. The pairs it
+// books as fetched are the kept hashes still unclassified when it
+// starts: exactly what the serial walk fetches for acct, whatever a
+// speculative scan fetched ahead of it.
 func (p *Pipeline) mergeScan(ctx context.Context, adm *Admission, acct ethtypes.Address, out scanOutcome) error {
+	var fetched int64
+	for _, h := range out.fresh {
+		if !adm.Classified[h] {
+			fetched++
+		}
+	}
+	p.Coverage.NoteFetched(fetched)
 	if out.quarantined > 0 {
 		p.Coverage.NoteQuarantined(acct, out.quarantined)
 		p.Logger.Info("account degraded: quarantined records in history",

@@ -61,6 +61,12 @@ type CodeSource interface {
 	Code(addr ethtypes.Address) ([]byte, error)
 }
 
+// StorageSource is an optional ChainSource extension: sources that
+// serve contract storage. LocalSource implements it.
+type StorageSource interface {
+	StorageAt(addr ethtypes.Address, key ethtypes.Hash) ethtypes.Hash
+}
+
 // LocalSource adapts an in-process chain to ChainSource.
 type LocalSource struct {
 	Chain *chain.Chain
@@ -91,8 +97,7 @@ func (s LocalSource) Code(addr ethtypes.Address) ([]byte, error) {
 	return s.Chain.CodeAt(addr), nil
 }
 
-// StorageAt implements StorageSource, enabling proxy resolution and
-// clone-configuration reads in the static screen.
+// StorageAt implements StorageSource.
 func (s LocalSource) StorageAt(addr ethtypes.Address, key ethtypes.Hash) ethtypes.Hash {
 	return s.Chain.StorageAt(addr, key)
 }

@@ -290,12 +290,6 @@ type FamilyRow struct {
 	// Tainted carries the clustering-time flag: some of this family's
 	// evidence was quarantined, so its figures are lower bounds.
 	Tainted bool
-	// Fingerprinted counts member contracts carrying at least one
-	// static fingerprint; StaticFlagged counts those the screen's
-	// scam-shape verdict flagged. Both are 0 when the dataset was not
-	// annotated.
-	Fingerprinted int
-	StaticFlagged int
 }
 
 // MinPrimaryTxs is the paper's primary-contract threshold (>100
@@ -343,12 +337,6 @@ func (c *Corpus) FamilyTable(fams []*cluster.Family, primaryThreshold int) []Fam
 			if rec.TxCount >= primaryThreshold {
 				primDays += rec.LastSeen.Sub(rec.FirstSeen).Hours() / 24
 				primCount++
-			}
-			if len(rec.Fingerprints) > 0 {
-				row.Fingerprinted++
-			}
-			if rec.StaticFlagged {
-				row.StaticFlagged++
 			}
 		}
 		if primCount > 0 {

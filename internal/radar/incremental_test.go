@@ -130,7 +130,6 @@ func TestRadarFamiliesAreCopies(t *testing.T) {
 			fam.Contracts[i] = ethtypes.Address{}
 		}
 		fam.Affiliates = fam.Affiliates[:0]
-		fam.Fingerprints = map[string]int{"mutated": 1}
 	}
 	radar.AssertMatchesScratch(t, r, eng, "after mutating Families")
 	for {

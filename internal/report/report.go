@@ -61,7 +61,7 @@ func Table1(w io.Writer, seed, expanded core.Stats) {
 func Table2(w io.Writer, rows []measure.FamilyRow) {
 	fmt.Fprintln(w, "Table 2: Overview of DaaS Families (sorted by victim accounts)")
 	tw := newTab(w)
-	fmt.Fprintln(tw, "DaaS Family\tContracts\tOperators\tAffiliates\tVictims\tTotal Profits\tFingerprinted\tActive")
+	fmt.Fprintln(tw, "DaaS Family\tContracts\tOperators\tAffiliates\tVictims\tTotal Profits\tActive")
 	tainted := false
 	for _, row := range rows {
 		name := row.Name
@@ -69,9 +69,9 @@ func Table2(w io.Writer, rows []measure.FamilyRow) {
 			name += " †"
 			tainted = true
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%s\t%s – %s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%s – %s\n",
 			name, row.Contracts, row.Operators, row.Affiliates, row.Victims,
-			usd(row.ProfitUSD), fingerprintCell(row), month(row.Start), month(row.End))
+			usd(row.ProfitUSD), month(row.Start), month(row.End))
 	}
 	tw.Flush()
 	if tainted {
@@ -79,16 +79,6 @@ func Table2(w io.Writer, rows []measure.FamilyRow) {
 	}
 	fmt.Fprintf(w, "Top-3 families hold %s of all profits.\n",
 		pct(measure.TopFamiliesProfitShare(rows, 3)))
-}
-
-// fingerprintCell renders a family's static-screen column: how many
-// member contracts carry a fingerprint, and how many of those the
-// scam-shape verdict flagged.
-func fingerprintCell(row measure.FamilyRow) string {
-	if row.Fingerprinted == 0 {
-		return "—"
-	}
-	return fmt.Sprintf("%d (%d flagged)", row.Fingerprinted, row.StaticFlagged)
 }
 
 func month(t time.Time) string {

@@ -46,7 +46,7 @@ func Compile(ds *core.Dataset, families []*cluster.Family, phishingDomains []str
 // AccountRecord is the record a snapshot lists for dataset account a,
 // attributed to fam (nil for none). An account in more than one
 // partition is listed once, by the last of contract, operator,
-// affiliate; only a contract listing carries the static screen's flag.
+// affiliate.
 func AccountRecord(ds *core.Dataset, a ethtypes.Address, fam *cluster.Family) Record {
 	r := Record{Address: a}
 	switch {
@@ -56,9 +56,6 @@ func AccountRecord(ds *core.Dataset, a ethtypes.Address, fam *cluster.Family) Re
 		r.Kind, r.Reason = KindOperator, ReasonOperator
 	default:
 		r.Kind, r.Reason = KindContract, ReasonContract
-		if c := ds.Contracts[a]; c != nil {
-			r.StaticFlagged = c.StaticFlagged
-		}
 	}
 	if fam != nil {
 		r.Family, r.Tainted = fam.Name, fam.Tainted

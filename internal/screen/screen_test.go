@@ -190,7 +190,7 @@ func TestSnapshotMarshalRoundTrip(t *testing.T) {
 func TestCompileFromPipelineOutputs(t *testing.T) {
 	ds := core.NewDataset()
 	now := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	ds.Contracts[addr(1)] = &core.ContractRecord{Address: addr(1), FirstSeen: now, LastSeen: now, StaticFlagged: true}
+	ds.Contracts[addr(1)] = &core.ContractRecord{Address: addr(1), FirstSeen: now, LastSeen: now}
 	ds.Operators[addr(2)] = &core.AccountRecord{Address: addr(2), FirstSeen: now, LastSeen: now}
 	ds.Affiliates[addr(3)] = &core.AccountRecord{Address: addr(3), FirstSeen: now, LastSeen: now}
 	fams := []*cluster.Family{{
@@ -204,7 +204,7 @@ func TestCompileFromPipelineOutputs(t *testing.T) {
 
 	rec, ok := snap.Lookup(addr(1))
 	if !ok || rec.Kind != screen.KindContract || rec.Reason != screen.ReasonContract ||
-		rec.Family != "Angel" || !rec.Tainted || !rec.StaticFlagged {
+		rec.Family != "Angel" || !rec.Tainted || rec.StaticFlagged {
 		t.Errorf("contract record = %+v (%v)", rec, ok)
 	}
 	rec, ok = snap.Lookup(addr(2))

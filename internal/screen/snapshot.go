@@ -26,8 +26,8 @@ type Record struct {
 	// evidence touched quarantined records, so the listing is a lower
 	// bound, not a complete picture.
 	Tainted bool
-	// StaticFlagged carries the static fingerprint screen's scam-shape
-	// verdict for contracts.
+	// StaticFlagged is a reserved scam-shape flag. Compile and
+	// AccountRecord never set it; a Builder caller may.
 	StaticFlagged bool
 }
 

@@ -114,7 +114,7 @@ func (g *Guard) LoadDataset(ds *core.Dataset) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, rec := range ds.SortedContracts() {
-		g.builder.Add(screen.Record{Address: rec.Address, Kind: screen.KindContract, Reason: screen.ReasonContract, StaticFlagged: rec.StaticFlagged})
+		g.builder.Add(screen.Record{Address: rec.Address, Kind: screen.KindContract, Reason: screen.ReasonContract})
 	}
 	for _, rec := range ds.SortedOperators() {
 		g.builder.Add(screen.Record{Address: rec.Address, Kind: screen.KindOperator, Reason: screen.ReasonOperator})

@@ -206,7 +206,7 @@ func TestWarningOrderingDeterministic(t *testing.T) {
 func TestGuardConcurrentReload(t *testing.T) {
 	_, g, contractAddr := setup(t)
 	ds := core.NewDataset()
-	ds.Contracts[contractAddr] = &core.ContractRecord{Address: contractAddr, FirstSeen: ts(), LastSeen: ts(), StaticFlagged: true}
+	ds.Contracts[contractAddr] = &core.ContractRecord{Address: contractAddr, FirstSeen: ts(), LastSeen: ts()}
 	ds.Operators[operator] = &core.AccountRecord{Address: operator, FirstSeen: ts(), LastSeen: ts()}
 
 	done := make(chan struct{})

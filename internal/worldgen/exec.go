@@ -65,7 +65,8 @@ type GroundTruth struct {
 	CashoutRoute map[ethtypes.Address]string
 	// ScamContracts maps each planted fingerprint-family contract to
 	// its static family label (approval-phishing, pyramid-payout,
-	// proxy) — the positive set for scoring StaticScreen.
+	// proxy) — the positive set TestFingerprintsOnWorld (in
+	// internal/contracts) scores the static engine against.
 	ScamContracts map[ethtypes.Address]string
 	// NegativeContracts maps each planted benign look-alike (router,
 	// allowance-helper, airdrop, benign-proxy) to its kind — the

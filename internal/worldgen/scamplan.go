@@ -16,8 +16,9 @@ import (
 // routers, allowance helpers whose spender comes from calldata,
 // owner-gated airdrops, and clones of a benign implementation). These
 // populations are disjoint from the profit-sharing incident timeline —
-// they exist so StaticScreen's precision and recall can be scored
-// against planted ground truth.
+// they exist so the static engine's precision and recall can be scored
+// against planted ground truth (TestFingerprintsOnWorld in
+// internal/contracts).
 
 // ScamPlan collects the fingerprint-family populations.
 type ScamPlan struct {

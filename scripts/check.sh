@@ -73,11 +73,8 @@ go test -count=1 -run=NONE -fuzz 'FuzzValidateRecord' -fuzztime 10s ./internal/i
 echo "==> script-src fuzz smoke: the crawler's script scanner returns exactly the reference regexp's submatches over the seed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzScriptSrcs' -fuzztime 10s ./internal/crawler/
 
-echo "==> fingerprint agreement: static fingerprints match dynamic prober verdicts for every style x family"
-go test -count=1 -run 'TestFingerprintAgreementMatrix|TestStaticDynamicAgreement' ./internal/contracts/
-
-echo "==> static screen race: concurrent fingerprint screening over a generated world"
-go test -race -count=1 -run 'TestStaticScreen|TestAnnotateFingerprints' ./internal/core/
+echo "==> fingerprint agreement: static fingerprints match dynamic prober verdicts for every style x family, and planted scam shapes over a generated world"
+go test -count=1 -run 'TestFingerprintAgreementMatrix|TestStaticDynamicAgreement|TestFingerprintsOnWorld' ./internal/contracts/
 
 echo "==> pathological bytecode: adversarial jump-dense contracts stay inside the visit budget"
 go test -count=1 -run 'TestAnalyzeBudgetedPathological' ./internal/evmstatic/
