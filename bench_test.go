@@ -56,7 +56,7 @@ func fixture(b *testing.B) (*worldgen.World, *core.Dataset, *measure.Corpus, []*
 		if err != nil {
 			panic(err)
 		}
-		an := &measure.Analyzer{Source: core.LocalSource{Chain: w.Chain}, Oracle: w.Oracle, Labels: w.Labels}
+		an := &measure.Analyzer{Source: core.LocalSource{Chain: w.Chain}, Oracle: w.Oracle}
 		corpus, err := an.BuildCorpus(ds)
 		if err != nil {
 			panic(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -140,7 +141,7 @@ func runRadar(reg *obs.Registry, opts radarOptions) error {
 // releases the pins above the fork through the returned handle, so
 // rolled-back evidence cannot linger in the quarantine ledger.
 func newDaemonRadar(reg *obs.Registry, base core.ChainSource, blocks radar.BlockSource, lbls *labels.Directory,
-	eng *screen.Engine, confirmed []string, opts radarOptions, logger *obs.Logger) (*radar.Radar, *integrity.Source, error) {
+	eng *screen.Engine, confirmed []string, opts radarOptions, logger *slog.Logger) (*radar.Radar, *integrity.Source, error) {
 	src := daas.NewStack(base, daas.StackConfig{Metrics: reg}).Checked
 	r, err := radar.New(radar.Config{
 		Source:         src,

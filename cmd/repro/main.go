@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"time"
@@ -56,7 +57,7 @@ func main() {
 
 	reg := obs.Default()
 	var spans *obs.Recorder
-	var logger *obs.Logger
+	var logger *slog.Logger
 	if *traceRun {
 		spans = obs.NewRecorder()
 		logger = obs.New(os.Stderr, obs.LevelDebug)
@@ -398,7 +399,7 @@ func sectionSec81(w *os.File, study *daas.Study) {
 	fmt.Fprintln(w)
 }
 
-func sectionSec82AndTable4(w *os.File, seed uint64, nSites int, reg *obs.Registry, logger *obs.Logger) *sitehunt.Report {
+func sectionSec82AndTable4(w *os.File, seed uint64, nSites int, reg *obs.Registry, logger *slog.Logger) *sitehunt.Report {
 	h(w, "§8.2 + Table 4: Toolkit-based Website Detection")
 	fleet := website.GenerateFleet(website.FleetConfig{
 		Seed: seed, Phishing: nSites, Benign: nSites / 3, Bait: nSites / 20,

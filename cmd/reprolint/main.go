@@ -10,11 +10,14 @@
 //     %w, not stringify it with %v/%s/%q — otherwise errors.Is/As
 //     cannot see through the wrap;
 //   - no direct progress logging in internal/ packages outside
-//     internal/obs: fmt.Fprint* to os.Stdout/os.Stderr and any use of
-//     the std log package must route through obs.Logger instead, so
-//     every progress line carries structure and honors the configured
-//     sink. (Writing tables to a caller-provided io.Writer is fine —
-//     the rule only fires on the process-global streams.)
+//     internal/obs: fmt.Fprint* to os.Stdout/os.Stderr, any use of the
+//     std log package, and log/slog's package-level functions that log
+//     through or replace the process default logger (slog.Info,
+//     slog.Default, slog.SetDefault, …) are banned. Progress goes
+//     through the *slog.Logger the caller hands in, so every line
+//     carries structure and only cmd/ decides where it lands. (Writing
+//     tables to a caller-provided io.Writer is fine — the rule only
+//     fires on the process-global streams.)
 //   - internal/core must not call ChainSource.Transaction or
 //     ChainSource.Receipt directly: records are read through the
 //     source's core.Layer (core.LayerOf), which honors context
@@ -288,17 +291,21 @@ func (l *linter) inspect(n ast.Node) bool {
 	}
 
 	// Rule 4: no progress logging in internal/ outside internal/obs —
-	// fmt.Fprint* aimed at the process-global streams, or the std log
-	// package (which writes to stderr), must go through obs.Logger.
+	// fmt.Fprint* aimed at the process-global streams, the std log
+	// package (which writes to stderr) and slog's default logger must
+	// give way to the *slog.Logger the caller hands in.
 	if l.banProgress {
 		if pkg == "log" {
-			l.reportf(call.Pos(), "log.%s in internal package: route progress logging through internal/obs (obs.Logger)", fn)
+			l.reportf(call.Pos(), "log.%s in internal package: route progress logging through the caller's *slog.Logger", fn)
+		}
+		if pkg == "log/slog" && slogDefaultFuncs[fn] && !l.isMethod(call) {
+			l.reportf(call.Pos(), "slog.%s in internal package: log through the caller's *slog.Logger, not the process default", fn)
 		}
 		if pkg == "fmt" && len(call.Args) > 0 {
 			switch fn {
 			case "Fprint", "Fprintf", "Fprintln":
 				if stream := l.stdStream(call.Args[0]); stream != "" {
-					l.reportf(call.Pos(), "fmt.%s to os.%s in internal package: route progress logging through internal/obs (obs.Logger)", fn, stream)
+					l.reportf(call.Pos(), "fmt.%s to os.%s in internal package: route progress logging through the caller's *slog.Logger", fn, stream)
 				}
 			}
 		}
@@ -380,6 +387,25 @@ func (l *linter) stdStream(e ast.Expr) string {
 		return name
 	}
 	return ""
+}
+
+// slogDefaultFuncs are log/slog's package-level functions that log
+// through, or replace, the process default logger (rule 4).
+var slogDefaultFuncs = map[string]bool{
+	"Debug": true, "DebugContext": true, "Info": true, "InfoContext": true,
+	"Warn": true, "WarnContext": true, "Error": true, "ErrorContext": true,
+	"Log": true, "LogAttrs": true, "Default": true, "SetDefault": true,
+}
+
+// isMethod reports whether call invokes a method, such as
+// (*slog.Logger).Info, rather than a package-level function.
+func (l *linter) isMethod(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := l.info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() != nil
 }
 
 // calledFunc resolves a call to (function name, defining package name)

@@ -41,3 +41,23 @@ func TestCoreReadsThroughLayer(t *testing.T) {
 		}
 	}
 }
+
+// TestRule4SlogDefault lints a fixture as if it were an internal
+// package: the calls that log through or replace slog's process
+// default logger are flagged, a handed-in logger and slog.New are not.
+func TestRule4SlogDefault(t *testing.T) {
+	findings, err := lint([]string{"./testdata/slogdefault"},
+		map[string]string{"repro/cmd/reprolint/testdata/slogdefault": "internal/sitehunt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"slogdefault.go:14:2: slog.Info", "slogdefault.go:15:2: slog.Default", "slogdefault.go:16:2: slog.SetDefault"}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), strings.Join(findings, "\n"))
+	}
+	for i, w := range want {
+		if !strings.Contains(findings[i], w) {
+			t.Errorf("finding %d = %q, want one at %s", i, findings[i], w)
+		}
+	}
+}

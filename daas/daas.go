@@ -17,6 +17,7 @@ package daas
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -42,9 +43,6 @@ type (
 	Stats = core.Stats
 	// Split is one detected profit-sharing event.
 	Split = core.Split
-	// Classifier is the §5.1 Step 2 profit-sharing transaction
-	// classifier.
-	Classifier = core.Classifier
 	// ValidationReport is the §5.2 sampling validation result.
 	ValidationReport = core.ValidationReport
 	// Family is one clustered DaaS family (§7.1).
@@ -69,9 +67,6 @@ type Client struct {
 	labels *labels.Directory
 	oracle *prices.Oracle
 
-	// Classifier lets callers tune ratio set and tolerance before
-	// calling BuildDataset.
-	Classifier Classifier
 	// Concurrency sets the parallel frontier scanners and fetch workers
 	// of the dataset build (0 or 1 = fully serial). The dataset is
 	// byte-identical at any setting; concurrency only buys wall-clock
@@ -101,7 +96,7 @@ type Client struct {
 	MaxQuarantine int64
 	// Logger receives structured pipeline progress events (nil
 	// discards them).
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Metrics, when set, receives per-stage counters and latency
 	// histograms from every pipeline layer; the chain source is then
 	// transparently wrapped so per-method request metrics are recorded
@@ -164,7 +159,6 @@ func (c *Client) BuildDataset() (*Dataset, error) {
 	p := &core.Pipeline{
 		Source:         c.stack().Cached(),
 		Labels:         c.labels,
-		Classifier:     c.Classifier,
 		Concurrency:    c.Concurrency,
 		CheckpointPath: c.CheckpointPath,
 		Resume:         c.Resume,
@@ -335,7 +329,7 @@ func (c *Client) StudyWith(opts StudyOptions) (*Study, error) {
 		return nil, fmt.Errorf("daas: clustering: %w", err)
 	}
 	_, sp = obs.Start(ctx, "study.measure")
-	an := &measure.Analyzer{Source: c.stack().Cached(), Oracle: c.oracle, Labels: c.labels}
+	an := &measure.Analyzer{Source: c.stack().Cached(), Oracle: c.oracle}
 	corpus, err := an.BuildCorpus(ds)
 	sp.End()
 	if err != nil {

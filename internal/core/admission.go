@@ -48,11 +48,10 @@ type Admission struct {
 	// incremental clusterer tallies family votes from it.
 	OnFold func(splits []Split)
 
-	layer      Layer
-	labels     *labels.Directory
-	classifier Classifier
-	coverage   *Coverage
-	onAdmit    OnAdmit
+	layer    Layer
+	labels   *labels.Directory
+	coverage *Coverage
+	onAdmit  OnAdmit
 	// concurrency shapes fetchAll, as Pipeline's Concurrency documents.
 	concurrency int
 
@@ -81,14 +80,13 @@ type admissionMetrics struct {
 // admission counters to reg (nil disables them). cov, when set, books
 // the pairs Absorb and FetchOne fetch and, per absorbed contract, the
 // records the integrity layer refused.
-func NewAdmission(src ChainSource, lbls *labels.Directory, cls Classifier, cov *Coverage,
+func NewAdmission(src ChainSource, lbls *labels.Directory, cov *Coverage,
 	reg *obs.Registry, onAdmit OnAdmit) *Admission {
 	return &Admission{
 		DS:         NewDataset(),
 		Classified: make(map[ethtypes.Hash]bool),
 		layer:      LayerOf(src),
 		labels:     lbls,
-		classifier: cls,
 		coverage:   cov,
 		onAdmit:    onAdmit,
 		m: admissionMetrics{
@@ -288,12 +286,13 @@ func unclassified(hashes []ethtypes.Hash, classified map[ethtypes.Hash]bool) []e
 	return fresh
 }
 
-// Classify runs the classifier over one transaction, recording
-// per-ratio match outcomes. Safe for concurrent use: the classifier is
-// read-only and the instruments are atomic.
+// Classify runs the paper-default classifier over one transaction,
+// recording per-ratio match outcomes. Safe for concurrent use: the
+// instruments are atomic.
 func (a *Admission) Classify(tx *chain.Transaction, r *chain.Receipt) []Split {
 	a.m.txClassified.Inc()
-	splits := a.classifier.Classify(tx, r)
+	var cl Classifier
+	splits := cl.Classify(tx, r)
 	for _, sp := range splits {
 		a.m.splits.With(strconv.FormatInt(sp.RatioPM, 10)).Inc()
 	}

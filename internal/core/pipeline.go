@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"maps"
 	"math"
 	"sort"
@@ -16,9 +17,8 @@ import (
 // Pipeline runs the four-step dataset construction of §5.1.
 type Pipeline struct {
 	// Source is the chain; Build reads it through LayerOf(Source).
-	Source     ChainSource
-	Labels     *labels.Directory
-	Classifier Classifier
+	Source ChainSource
+	Labels *labels.Directory
 	// Concurrency sets the number of frontier accounts scanned in
 	// parallel and the number of parallel transaction+receipt fetches
 	// per scan. It matters when Source is a remote JSON-RPC endpoint
@@ -51,7 +51,7 @@ type Pipeline struct {
 	// what the report manifest surfaces.
 	Coverage *Coverage
 	// Logger receives structured progress events (nil discards them).
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Metrics, when set, receives per-stage counters, gauges, and
 	// histograms (see the README's Observability section for names).
 	Metrics *obs.Registry
@@ -270,7 +270,7 @@ func (p *Pipeline) Build() (*Dataset, error) {
 		iterSpan.SetAttr("contracts", after.Contracts)
 		iterSpan.SetAttr("profit_txs", after.ProfitTxs)
 		iterSpan.End()
-		p.Logger.Info("step 4: expansion iteration finished",
+		p.log().Info("step 4: expansion iteration finished",
 			"iter", iter+1,
 			"frontier", len(frontier),
 			"contracts", after.Contracts,
@@ -313,14 +313,14 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 			st.quarantine = p.Quarantine
 			st.cov = p.Coverage
 			stats := st.ds.Stats()
-			p.Logger.Info("resumed from checkpoint",
+			p.log().Info("resumed from checkpoint",
 				"path", p.CheckpointPath,
 				"iterations_done", st.iterations,
 				"contracts", stats.Contracts,
 				"pending_accounts", len(st.tracker.ops)+len(st.tracker.affs))
 			return st, nil
 		}
-		p.Logger.Info("no checkpoint on disk, building from seed", "path", p.CheckpointPath)
+		p.log().Info("no checkpoint on disk, building from seed", "path", p.CheckpointPath)
 	}
 
 	st := &buildState{
@@ -349,7 +349,7 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 	}
 	collect.SetAttr("contracts", len(seedContracts))
 	collect.End()
-	p.Logger.Info("step 1: labeled phishing contracts collected", "contracts", len(seedContracts))
+	p.log().Info("step 1: labeled phishing contracts collected", "contracts", len(seedContracts))
 
 	// Step 2 + 3: identify profit-sharing contracts among the reports
 	// and extract operator/affiliate accounts — the seed dataset.
@@ -363,7 +363,7 @@ func (p *Pipeline) restoreOrSeed(ctx context.Context) (*buildState, error) {
 	absorb.SetAttr("contracts", st.ds.SeedStats.Contracts)
 	absorb.SetAttr("profit_txs", st.ds.SeedStats.ProfitTxs)
 	absorb.End()
-	p.Logger.Info("step 3: seed dataset built",
+	p.log().Info("step 3: seed dataset built",
 		"contracts", st.ds.SeedStats.Contracts,
 		"operators", st.ds.SeedStats.Operators,
 		"affiliates", st.ds.SeedStats.Affiliates,
@@ -393,7 +393,7 @@ func (p *Pipeline) checkpoint(st *buildState) error {
 	p.pm.ckptWrites.Inc()
 	p.pm.ckptBytes.Set(n)
 	p.pm.ckptLastIter.Set(int64(st.iterations))
-	p.Logger.Debug("checkpoint written",
+	p.log().Debug("checkpoint written",
 		"path", p.CheckpointPath,
 		"bytes", n,
 		"iterations_done", st.iterations)
@@ -533,7 +533,7 @@ func (p *Pipeline) mergeScan(ctx context.Context, adm *Admission, acct ethtypes.
 	p.Coverage.NoteFetched(fetched)
 	if out.quarantined > 0 {
 		p.Coverage.NoteQuarantined(acct, out.quarantined)
-		p.Logger.Info("account degraded: quarantined records in history",
+		p.log().Info("account degraded: quarantined records in history",
 			"account", acct.Short(), "quarantined", out.quarantined)
 	}
 	for i, h := range out.fresh {
@@ -564,10 +564,12 @@ func (p *Pipeline) mergeScan(ctx context.Context, adm *Admission, acct ethtypes.
 	return nil
 }
 
+func (p *Pipeline) log() *slog.Logger { return obs.OrDiscard(p.Logger) }
+
 // admission returns the admission state over st, feeding each newly
 // admitted operator and affiliate to the frontier tracker.
 func (p *Pipeline) admission(st *buildState) *Admission {
-	adm := NewAdmission(p.Source, p.Labels, p.Classifier, p.Coverage, p.Metrics, st.tracker.admitted)
+	adm := NewAdmission(p.Source, p.Labels, p.Coverage, p.Metrics, st.tracker.admitted)
 	adm.concurrency = p.Concurrency
 	adm.DS, adm.Classified = st.ds, st.classified
 	return adm

@@ -4,7 +4,6 @@ package crawler
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -46,10 +45,6 @@ type Crawler struct {
 	// MaxFileBytes caps each fetched file (default 1 MiB). A file over
 	// the cap fails with ErrTruncated rather than being clipped.
 	MaxFileBytes int64
-	// Retry, when set, retries transient fetch failures (timeouts, 5xx,
-	// 429, connection resets) under the policy. Nil performs each
-	// request exactly once.
-	Retry *retry.Policy
 }
 
 // New returns a crawler for the hosting endpoint.
@@ -92,19 +87,11 @@ func (c *Crawler) Fetch(domain string) (*Page, error) {
 	return page, nil
 }
 
-func (c *Crawler) get(site siteURL, path string) (body []byte, err error) {
+func (c *Crawler) get(site siteURL, path string) ([]byte, error) {
 	u, err := site.join(path)
 	if err != nil {
 		return nil, err
 	}
-	err = c.Retry.Do(context.Background(), "crawler.get", func() error {
-		body, err = c.getOnce(u)
-		return err
-	})
-	return body, err
-}
-
-func (c *Crawler) getOnce(u string) ([]byte, error) {
 	httpClient := c.HTTPClient
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 15 * time.Second}

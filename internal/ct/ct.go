@@ -6,7 +6,6 @@
 package ct
 
 import (
-	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -171,10 +170,6 @@ type Client struct {
 	// Metrics, when set, records poll counts, ingested entries, and
 	// poll latency (daas_ct_* metric names).
 	Metrics *obs.Registry
-	// Retry, when set, retries transient poll failures (timeouts, 5xx,
-	// 429, connection resets) under the policy. Nil performs each
-	// request exactly once.
-	Retry *retry.Policy
 
 	next        int64
 	metricsOnce sync.Once
@@ -335,12 +330,6 @@ func (c *Client) batch() int64 {
 }
 
 func (c *Client) get(path string, v any) error {
-	return c.Retry.Do(context.Background(), "ct.get", func() error {
-		return c.getOnce(path, v)
-	})
-}
-
-func (c *Client) getOnce(path string, v any) error {
 	httpClient := c.HTTPClient
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 30 * time.Second}

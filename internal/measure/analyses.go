@@ -141,8 +141,6 @@ type OperatorReport struct {
 	MinLifecycleDays float64
 	MaxLifecycleDays float64
 	InactiveCount    int
-	// DirectPairs counts operator pairs connected by direct transfers.
-	DirectPairs int
 }
 
 // Operators computes the operator-side report. now is the dataset end

@@ -14,7 +14,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/ethtypes"
-	"repro/internal/labels"
 	"repro/internal/prices"
 )
 
@@ -22,7 +21,6 @@ import (
 type Analyzer struct {
 	Source core.ChainSource
 	Oracle *prices.Oracle
-	Labels *labels.Directory
 }
 
 // Corpus is the single-pass extraction of everything the analyses

@@ -29,7 +29,7 @@ var fix = func() *fixture {
 	if err != nil {
 		panic(err)
 	}
-	an := &measure.Analyzer{Source: core.LocalSource{Chain: w.Chain}, Oracle: w.Oracle, Labels: w.Labels}
+	an := &measure.Analyzer{Source: core.LocalSource{Chain: w.Chain}, Oracle: w.Oracle}
 	corpus, err := an.BuildCorpus(ds)
 	if err != nil {
 		panic(err)
@@ -226,7 +226,7 @@ func TestVictimsIsLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an := &measure.Analyzer{Source: core.LocalSource{Chain: w.Chain}, Oracle: w.Oracle, Labels: w.Labels}
+		an := &measure.Analyzer{Source: core.LocalSource{Chain: w.Chain}, Oracle: w.Oracle}
 		corpus, err := an.BuildCorpus(ds)
 		if err != nil {
 			t.Fatal(err)

@@ -125,9 +125,8 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WriteSummary(nil); err != nil {
 		t.Fatalf("nil registry WriteSummary: %v", err)
 	}
-	var l *Logger
-	l.Info("ignored", "k", "v")
-	l.With("a", 1).Debug("ignored")
+	OrDiscard(nil).Info("ignored", "k", "v")
+	OrDiscard(nil).With("a", 1).Debug("ignored")
 	var sp *Span
 	sp.SetAttr("k", "v")
 	sp.End()

@@ -1,11 +1,13 @@
 // Package obs is the repo's stdlib-only observability substrate: a
-// structured leveled logger (key=value lines over a pluggable sink), a
 // concurrent-safe metrics registry (counters, gauges, histograms with
 // fixed bucket boundaries and atomic hot paths), and hierarchical
 // tracing spans. A text exporter renders the registry in Prometheus
 // exposition format, and an optional net/http mux serves /metrics,
 // /debug/vars (expvar bridge), and /debug/pprof for runtime
-// introspection.
+// introspection. Progress logging is log/slog: New builds the
+// key=value text logger the commands hand to library code, and
+// OrDiscard lets a library read an unset *slog.Logger as one that
+// drops every record.
 //
 // Every instrument tolerates a nil receiver: instrumented code can run
 // with observability disabled at zero configuration cost, since a nil
@@ -19,36 +21,42 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// Attr is one key/value attribute attached to a log line or span.
+// Severity levels for New, least to most severe.
+const (
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
+)
+
+// New returns a logger writing key=value lines at or above level to w.
+func New(w io.Writer, level slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
+}
+
+// OrDiscard returns l, or a logger that drops every record when l is
+// nil, so a library can leave its Logger field unset.
+func OrDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return discard
+	}
+	return l
+}
+
+// discard is enabled at no level, so its records are never built.
+var discard = New(io.Discard, math.MaxInt)
+
+// Attr is one key/value attribute attached to a span.
 type Attr struct {
 	Key   string
 	Value any
-}
-
-// attrsFromKV pairs up a variadic key/value list. A trailing key
-// without a value is kept with the placeholder "(MISSING)"; non-string
-// keys are stringified.
-func attrsFromKV(kv []any) []Attr {
-	if len(kv) == 0 {
-		return nil
-	}
-	out := make([]Attr, 0, (len(kv)+1)/2)
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			key = fmt.Sprint(kv[i])
-		}
-		var val any = "(MISSING)"
-		if i+1 < len(kv) {
-			val = kv[i+1]
-		}
-		out = append(out, Attr{Key: key, Value: val})
-	}
-	return out
 }
 
 // formatValue renders an attribute value for key=value output, quoting

@@ -29,7 +29,7 @@ func fromScratch(r *Radar) ([]*cluster.Family, *screen.Snapshot, core.Stats, err
 	if err := inc.Restore(blob); err != nil {
 		return nil, nil, core.Stats{}, err
 	}
-	fams := inc.Families(r.adm.DS, r.degradedLocked())
+	fams := inc.Families(r.adm.DS, nil)
 	return fams, screen.Compile(r.adm.DS, fams, r.cfg.Domains), seedStats(r.adm.DS), nil
 }
 

@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -70,9 +71,6 @@ type Config struct {
 	// Labels is the phishing-label directory used for seeding and
 	// family naming.
 	Labels *labels.Directory
-	// Classifier detects profit-sharing splits (zero value = paper
-	// defaults).
-	Classifier core.Classifier
 	// Engine, when set, receives a freshly compiled screening snapshot
 	// after every step that changed the dataset.
 	Engine *screen.Engine
@@ -94,11 +92,11 @@ type Config struct {
 	// Pins, when set, has receipt pins above the fork released on
 	// rollback.
 	Pins PinReleaser
-	// Coverage, when set, books quarantined records per account like
-	// the batch pipeline does.
-	Coverage *core.Coverage
-	Metrics  *obs.Registry
-	Logger   *obs.Logger
+	// Metrics, when set, receives the daas_radar_* instruments and the
+	// admission counters.
+	Metrics *obs.Registry
+	// Logger receives daemon events (nil discards them).
+	Logger *slog.Logger
 }
 
 // pendingTx is a split-bearing transaction that failed the expansion
@@ -194,13 +192,14 @@ func New(cfg Config) (*Radar, error) {
 	if cfg.Labels == nil {
 		return nil, fmt.Errorf("radar: Config.Labels is required")
 	}
+	cfg.Logger = obs.OrDiscard(cfg.Logger)
 	r := &Radar{
 		cfg:     cfg,
 		m:       newRadarMetrics(cfg.Metrics),
 		fresh:   make(map[*cluster.Family]bool),
 		touched: make(map[ethtypes.Address]bool),
 	}
-	r.adm = core.NewAdmission(cfg.Source, cfg.Labels, cfg.Classifier, cfg.Coverage, cfg.Metrics, r.admittedLocked)
+	r.adm = core.NewAdmission(cfg.Source, cfg.Labels, nil, cfg.Metrics, r.admittedLocked)
 	r.adm.OnFold = func(splits []core.Split) { r.inc.ObserveSplits(splits) }
 	r.phishing = make(map[ethtypes.Address]bool)
 	for _, a := range cfg.Labels.AllPhishing() {
@@ -215,7 +214,7 @@ func New(cfg Config) (*Radar, error) {
 			if err := r.applyCheckpointLocked(cp); err != nil {
 				return nil, err
 			}
-			r.logger().Info("radar resumed from checkpoint",
+			r.cfg.Logger.Info("radar resumed from checkpoint",
 				"path", cfg.CheckpointPath, "cursor", r.cursor)
 			return r, nil
 		}
@@ -225,8 +224,6 @@ func New(cfg Config) (*Radar, error) {
 	}
 	return r, nil
 }
-
-func (r *Radar) logger() *obs.Logger { return r.cfg.Logger }
 
 func (r *Radar) window() int {
 	if r.cfg.ReorgWindow > 0 {
@@ -276,7 +273,7 @@ func (r *Radar) Run(ctx context.Context) error {
 	for {
 		if _, err := r.Step(); err != nil {
 			r.m.stepErrs.Inc()
-			r.logger().Warn("radar step failed", "err", err)
+			r.cfg.Logger.Warn("radar step failed", "err", err)
 		}
 		select {
 		case <-ctx.Done():
@@ -419,7 +416,7 @@ func (r *Radar) rollbackLocked(fork uint64) error {
 	r.m.reorgsC.Inc()
 	r.dirty = true
 	r.emitLocked(Update{Kind: KindReorg, Block: fork})
-	r.logger().Info("radar reorg rollback",
+	r.cfg.Logger.Info("radar reorg rollback",
 		"fork", fork, "restored_cursor", r.cursor, "undone", undone, "pins_released", released)
 	return nil
 }
@@ -440,7 +437,7 @@ func (r *Radar) failsafeLocked(cause error) error {
 	r.rebuild = true
 	r.m.journalG.Set(int64(r.journal.Len()))
 	r.emitLocked(Update{Kind: KindReorg, Block: r.cursor})
-	r.logger().Warn("radar ingest failed; undid the partial block",
+	r.cfg.Logger.Warn("radar ingest failed; undid the partial block",
 		"cursor", r.cursor, "err", cause)
 	return cause
 }
@@ -676,18 +673,10 @@ func (r *Radar) sortedPendingLocked() []ethtypes.Hash {
 	return out
 }
 
-func (r *Radar) degradedLocked() map[ethtypes.Address]bool {
-	out := make(map[ethtypes.Address]bool)
-	for a := range r.cfg.Coverage.Stats().Degraded {
-		out[a] = true
-	}
-	return out
-}
-
 // rollupLocked brings the family rollup up to date and books the
 // families it materialized, and their accounts, for the next compile.
 func (r *Radar) rollupLocked() []*cluster.Family {
-	fams, fresh := r.inc.Rollup(r.adm.DS, r.degradedLocked())
+	fams, fresh := r.inc.Rollup(r.adm.DS, nil)
 	for _, fam := range fresh {
 		r.fresh[fam] = true
 		for _, list := range [][]ethtypes.Address{fam.Operators, fam.Contracts, fam.Affiliates} {

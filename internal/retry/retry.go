@@ -1,16 +1,14 @@
-// Package retry is the retry policy of the network clients: a
+// Package retry is the retry policy of the chain client: a
 // deterministic exponential backoff with per-error classification.
 //
-// The live counterparts of this repository's substituted inputs are
-// flaky by nature — public RPC gateways rate-limit and shed load, CT
-// log frontends return 5xx under bursts, and phishing sites vanish
-// mid-crawl — so a single transient fault must never abort a
-// multi-hour snowball build or wedge the CT→crawl funnel. The three
-// network-facing clients (internal/rpc, internal/ct, internal/crawler)
-// accept a *Policy and route each request through Do; they are the
-// only places a retry happens. Layers above them (the integrity layer,
-// the fetch cache) see a request that eventually succeeded or a
-// failure that retrying did not cure.
+// Public RPC gateways rate-limit and shed load, so a single transient
+// fault must never abort a multi-hour snowball build. The JSON-RPC
+// client (internal/rpc) accepts a *Policy and routes each request
+// through Do; it is the only place a retry happens. Layers above it
+// (the integrity layer, the fetch cache) see a request that eventually
+// succeeded or a failure that retrying did not cure. The CT client
+// (internal/ct) and the crawler (internal/crawler) send each request
+// once and report a non-200 status as an HTTPError.
 //
 // Backoff is deterministic (no jitter): given the same fault schedule
 // the retry sequence is identical run to run, which keeps the

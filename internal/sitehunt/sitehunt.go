@@ -9,6 +9,7 @@ package sitehunt
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
@@ -79,7 +80,7 @@ type Detector struct {
 	Crawler *crawler.Crawler
 	Corpus  *toolkit.Corpus
 	// Logger receives structured progress events (nil discards them).
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Metrics, when set, receives the §8.2 funnel counters
 	// (daas_funnel_* metric names): every stage from CT certificate
 	// ingestion down to confirmed toolkit matches.
@@ -119,6 +120,7 @@ func (d *Detector) Run() (*Report, error) {
 		return nil, fmt.Errorf("sitehunt: Detector needs CT, Crawler, and Corpus")
 	}
 	fm := newFunnelMetrics(d.Metrics)
+	logger := obs.OrDiscard(d.Logger)
 	report := &Report{}
 	var phishingDomains []string
 	seen := make(map[string]bool)
@@ -142,7 +144,7 @@ func (d *Detector) Run() (*Report, error) {
 				// monitors a live log; skip it and keep the count.
 				report.BadCerts++
 				fm.badCerts.Inc()
-				d.Logger.Debug("skipping unparseable certificate", "index", s.certIndex, "err", s.certErr.Error())
+				logger.Debug("skipping unparseable certificate", "index", s.certIndex, "err", s.certErr.Error())
 				continue
 			}
 			report.DomainsSeen++
@@ -171,7 +173,7 @@ func (d *Detector) Run() (*Report, error) {
 				Keyword: s.match.Keyword,
 			})
 			phishingDomains = append(phishingDomains, s.domain)
-			d.Logger.Info("phishing website detected",
+			logger.Info("phishing website detected",
 				"domain", s.domain, "family", s.verdict.Family, "keyword", s.match.Keyword)
 		}
 	}
