@@ -5,23 +5,21 @@
 //	benchdiff gate -current BENCH_pipeline.json -baseline scripts/bench/BENCH_pipeline.baseline.json -tolerance 5
 //
 // emit parses benchmark lines (including b.ReportMetric custom units
-// like p99-us or profit-txs) into a daas-bench/v1 file. gate compares
-// a current file against a baseline and exits non-zero on regression:
+// like p99-us) into a daas-bench/v1 file. gate compares a current file
+// against a baseline and exits non-zero on regression:
 //
 //   - time-like metrics (ns_op, B_op, allocs_op, *_s/_ms/_us/_ns) are
 //     lower-is-better, gated at baseline*tolerance;
 //   - throughput metrics (*ops_s, *blocks_s, MB_s) are higher-is-better,
 //     gated at baseline/tolerance;
-//   - everything else is a shape metric — deterministic counts such as
-//     profit-txs — gated two-sided at a tight tolerance, because any
-//     drift there is a correctness bug, not timing noise;
+//   - any other metric, in either file, fails the gate: a deterministic
+//     count belongs in an ordinary test, not behind a timing tolerance;
 //   - a benchmark present in the baseline but missing from the current
 //     file is a regression (a silently deleted benchmark must not pass).
 //
-// A missing baseline file is bootstrapped: the current results are
-// written there and the gate passes, so the first CI run on a new
-// machine self-seeds. Intentional performance changes are recorded
-// with -update, which rewrites the baseline and passes.
+// A missing baseline fails the gate. -update is the only way a
+// baseline is written: it rewrites the file from the current results
+// and passes.
 package main
 
 import (
@@ -84,7 +82,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   benchdiff emit -suite NAME [-o FILE] [input files | stdin]
-  benchdiff gate -current FILE -baseline FILE [-tolerance X] [-shape-tolerance X] [-update]`)
+  benchdiff gate -current FILE -baseline FILE [-tolerance X] [-update]`)
 }
 
 func runEmit(args []string) error {
@@ -200,18 +198,17 @@ func ParseGoBench(r io.Reader) ([]Entry, error) {
 type metricClass int
 
 const (
-	lowerBetter  metricClass = iota // latency, allocations
+	unclassified metricClass = iota // neither: fails the gate
+	lowerBetter                     // latency, allocations
 	higherBetter                    // throughput
-	shape                           // deterministic counts
 )
 
 func classify(unit string) metricClass {
 	switch unit {
-	case "ns_op", "B_op", "allocs_op", "MB_s":
-		if unit == "MB_s" {
-			return higherBetter
-		}
+	case "ns_op", "B_op", "allocs_op":
 		return lowerBetter
+	case "MB_s":
+		return higherBetter
 	}
 	// A rate per second is named by what it counts.
 	if strings.HasSuffix(unit, "ops_s") || strings.HasSuffix(unit, "blocks_s") {
@@ -222,7 +219,7 @@ func classify(unit string) metricClass {
 			return lowerBetter
 		}
 	}
-	return shape
+	return unclassified
 }
 
 // Regression describes one gate failure.
@@ -241,16 +238,26 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s %s: baseline %g, current %g (%s)", r.Benchmark, r.Metric, r.Baseline, r.Current, r.Reason)
 }
 
+// unclassifiedMetric reports a metric the gate cannot compare.
+func unclassifiedMetric(benchmark, file, unit string) Regression {
+	return Regression{Benchmark: benchmark, Reason: fmt.Sprintf(
+		"%s metric %s is neither time-like nor throughput; assert it in a test instead", file, unit)}
+}
+
 // Compare gates current against baseline. tolerance is the allowed
-// ratio for timing metrics (e.g. 5 = current may be up to 5x slower);
-// shapeTol is the allowed relative drift for shape metrics (e.g. 0.01
-// = ±1%). New benchmarks and new metrics in current pass silently —
-// they gate once they reach the baseline.
-func Compare(current, baseline *File, tolerance, shapeTol float64) []Regression {
+// ratio for timing metrics (e.g. 5 = current may be up to 5x slower).
+// New benchmarks and new metrics in current pass silently — they gate
+// once they reach the baseline — unless the metric is unclassified.
+func Compare(current, baseline *File, tolerance float64) []Regression {
 	var regs []Regression
 	curByName := make(map[string]Entry, len(current.Entries))
 	for _, e := range current.Entries {
 		curByName[e.Name] = e
+		for _, unit := range sortedUnits(e.Metrics) {
+			if classify(unit) == unclassified {
+				regs = append(regs, unclassifiedMetric(e.Name, "current", unit))
+			}
+		}
 	}
 	for _, base := range baseline.Entries {
 		cur, ok := curByName[base.Name]
@@ -258,19 +265,19 @@ func Compare(current, baseline *File, tolerance, shapeTol float64) []Regression 
 			regs = append(regs, Regression{Benchmark: base.Name, Reason: "benchmark missing from current results"})
 			continue
 		}
-		metrics := make([]string, 0, len(base.Metrics))
-		for unit := range base.Metrics {
-			metrics = append(metrics, unit)
-		}
-		sort.Strings(metrics)
-		for _, unit := range metrics {
+		for _, unit := range sortedUnits(base.Metrics) {
 			bv := base.Metrics[unit]
+			class := classify(unit)
+			if class == unclassified {
+				regs = append(regs, unclassifiedMetric(base.Name, "baseline", unit))
+				continue
+			}
 			cv, ok := cur.Metrics[unit]
 			if !ok {
 				regs = append(regs, Regression{Benchmark: base.Name, Metric: unit, Baseline: bv, Reason: "metric missing from current results"})
 				continue
 			}
-			switch classify(unit) {
+			switch class {
 			case lowerBetter:
 				if bv > 0 && cv > bv*tolerance {
 					regs = append(regs, Regression{base.Name, unit, bv, cv,
@@ -281,19 +288,21 @@ func Compare(current, baseline *File, tolerance, shapeTol float64) []Regression 
 					regs = append(regs, Regression{base.Name, unit, bv, cv,
 						fmt.Sprintf("%.2fx less throughput than baseline (tolerance %gx)", bv/cv, tolerance)})
 				}
-			case shape:
-				lo, hi := bv*(1-shapeTol), bv*(1+shapeTol)
-				if bv < 0 {
-					lo, hi = hi, lo
-				}
-				if cv < lo || cv > hi {
-					regs = append(regs, Regression{base.Name, unit, bv, cv,
-						fmt.Sprintf("shape metric drifted beyond ±%g%% — deterministic output changed", shapeTol*100)})
-				}
 			}
 		}
 	}
 	return regs
+}
+
+// sortedUnits returns the metric names in sorted order, so the gate
+// reports regressions deterministically.
+func sortedUnits(metrics map[string]float64) []string {
+	units := make([]string, 0, len(metrics))
+	for unit := range metrics {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	return units
 }
 
 func runGate(args []string, w io.Writer) error {
@@ -301,7 +310,6 @@ func runGate(args []string, w io.Writer) error {
 	curPath := fs.String("current", "", "current results file (from benchdiff emit)")
 	basePath := fs.String("baseline", "", "committed baseline file")
 	tolerance := fs.Float64("tolerance", 5, "allowed slowdown ratio for timing metrics")
-	shapeTol := fs.Float64("shape-tolerance", 0.01, "allowed relative drift for shape metrics")
 	update := fs.Bool("update", false, "rewrite the baseline from current results and pass (intentional change)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -320,14 +328,15 @@ func runGate(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "benchdiff: baseline %s updated from %s\n", *basePath, *curPath)
 		return nil
 	}
+	suggestUpdate := func() {
+		fmt.Fprintf(w, "benchdiff: if this suite is brand new, bootstrap its baseline with:\n")
+		fmt.Fprintf(w, "  go run ./cmd/benchdiff gate -current %s -baseline %s -update\n", *curPath, *basePath)
+	}
 	base, err := readFile(*basePath)
 	if os.IsNotExist(err) {
-		// Bootstrap: first run on this machine seeds the baseline.
-		if err := writeBaseline(*basePath, cur); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "benchdiff: no baseline at %s — bootstrapped from current results\n", *basePath)
-		return nil
+		fmt.Fprintf(w, "benchdiff: no baseline at %s\n", *basePath)
+		suggestUpdate()
+		return fmt.Errorf("gate: no baseline at %s", *basePath)
 	}
 	if err != nil {
 		return err
@@ -339,11 +348,10 @@ func runGate(args []string, w io.Writer) error {
 	// path explicitly instead.
 	if len(cur.Entries) > 0 && overlapCount(cur, base) == 0 {
 		fmt.Fprintf(w, "benchdiff: baseline %s shares no benchmarks with %s (suite %s)\n", *basePath, *curPath, cur.Suite)
-		fmt.Fprintf(w, "benchdiff: if this suite is brand new, bootstrap its baseline with:\n")
-		fmt.Fprintf(w, "  go run ./cmd/benchdiff gate -current %s -baseline %s -update\n", *curPath, *basePath)
+		suggestUpdate()
 		return fmt.Errorf("gate: baseline %s has no benchmark overlap with current results", *basePath)
 	}
-	regs := Compare(cur, base, *tolerance, *shapeTol)
+	regs := Compare(cur, base, *tolerance)
 	if len(regs) == 0 {
 		fmt.Fprintf(w, "benchdiff: %s ok against %s (%d benchmarks, tolerance %gx)\n",
 			cur.Suite, *basePath, len(base.Entries), *tolerance)

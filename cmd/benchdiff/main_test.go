@@ -63,8 +63,6 @@ func TestClassify(t *testing.T) {
 		"achieved_ops_s": higherBetter,
 		"blocks_s":       higherBetter,
 		"MB_s":           higherBetter,
-		"profit_txs":     shape,
-		"contracts":      shape,
 	}
 	for unit, want := range cases {
 		if got := classify(unit); got != want {
@@ -87,7 +85,7 @@ func file(entries ...Entry) *File {
 func TestGateInjectedSlowdown(t *testing.T) {
 	base := file(bench("BenchmarkPipeline", map[string]float64{"ns_op": 1e8, "p99_us": 500}))
 	slow := file(bench("BenchmarkPipeline", map[string]float64{"ns_op": 1e9, "p99_us": 500}))
-	regs := Compare(slow, base, 2, 0.01)
+	regs := Compare(slow, base, 2)
 	if len(regs) != 1 {
 		t.Fatalf("regressions = %+v, want exactly the ns_op slowdown", regs)
 	}
@@ -99,41 +97,52 @@ func TestGateInjectedSlowdown(t *testing.T) {
 func TestGateWithinTolerance(t *testing.T) {
 	base := file(bench("BenchmarkPipeline", map[string]float64{"ns_op": 1e8}))
 	ok := file(bench("BenchmarkPipeline", map[string]float64{"ns_op": 3e8}))
-	if regs := Compare(ok, base, 5, 0.01); len(regs) != 0 {
+	if regs := Compare(ok, base, 5); len(regs) != 0 {
 		t.Errorf("3x slowdown under 5x tolerance flagged: %+v", regs)
 	}
 	// Faster is never a regression.
 	fast := file(bench("BenchmarkPipeline", map[string]float64{"ns_op": 1e6}))
-	if regs := Compare(fast, base, 5, 0.01); len(regs) != 0 {
+	if regs := Compare(fast, base, 5); len(regs) != 0 {
 		t.Errorf("speedup flagged: %+v", regs)
 	}
 }
 
-// TestGateShapeDrift: deterministic counts get a tight two-sided gate —
-// both growth and shrinkage are regressions.
-func TestGateShapeDrift(t *testing.T) {
-	base := file(bench("BenchmarkPipeline", map[string]float64{"profit_txs": 87077}))
-	for _, cur := range []float64{80000, 95000} {
-		f := file(bench("BenchmarkPipeline", map[string]float64{"profit_txs": cur}))
-		if regs := Compare(f, base, 5, 0.01); len(regs) != 1 {
-			t.Errorf("shape drift to %g not flagged: %+v", cur, regs)
-		}
+// TestGateUnclassifiedMetric: a metric that is neither time-like nor
+// throughput fails the gate whichever file carries it, even at its
+// baseline value — a deterministic count belongs in an ordinary test.
+func TestGateUnclassifiedMetric(t *testing.T) {
+	timed := map[string]float64{"ns_op": 1e8}
+	counted := map[string]float64{"ns_op": 1e8, "profit_txs": 852}
+	for _, tc := range []struct {
+		name      string
+		cur, base map[string]float64
+		file      string
+	}{
+		{"current", counted, timed, "current metric profit_txs"},
+		{"baseline", timed, counted, "baseline metric profit_txs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			regs := Compare(file(bench("BenchmarkPipeline", tc.cur)), file(bench("BenchmarkPipeline", tc.base)), 5)
+			if len(regs) != 1 || !strings.Contains(regs[0].String(), tc.file+" is neither time-like nor throughput") {
+				t.Errorf("regressions = %v, want one naming the %s", regs, tc.file)
+			}
+		})
 	}
-	exact := file(bench("BenchmarkPipeline", map[string]float64{"profit_txs": 87077}))
-	if regs := Compare(exact, base, 5, 0.01); len(regs) != 0 {
-		t.Errorf("exact shape flagged: %+v", regs)
+	regs := Compare(file(bench("BenchmarkPipeline", counted)), file(bench("BenchmarkPipeline", counted)), 5)
+	if len(regs) != 2 {
+		t.Errorf("count in both files: regressions = %v, want one per file", regs)
 	}
 }
 
 func TestGateThroughput(t *testing.T) {
 	base := file(bench("BenchmarkRPC", map[string]float64{"achieved_ops_s": 50000}))
 	slow := file(bench("BenchmarkRPC", map[string]float64{"achieved_ops_s": 5000}))
-	regs := Compare(slow, base, 2, 0.01)
+	regs := Compare(slow, base, 2)
 	if len(regs) != 1 || !strings.Contains(regs[0].Reason, "less throughput") {
 		t.Errorf("throughput collapse not flagged: %+v", regs)
 	}
 	ok := file(bench("BenchmarkRPC", map[string]float64{"achieved_ops_s": 30000}))
-	if regs := Compare(ok, base, 2, 0.01); len(regs) != 0 {
+	if regs := Compare(ok, base, 2); len(regs) != 0 {
 		t.Errorf("within-tolerance throughput flagged: %+v", regs)
 	}
 }
@@ -146,7 +155,7 @@ func TestGateMissingBenchmark(t *testing.T) {
 		bench("BenchmarkB", map[string]float64{"ns_op": 1}),
 	)
 	cur := file(bench("BenchmarkA", map[string]float64{"ns_op": 1}))
-	regs := Compare(cur, base, 5, 0.01)
+	regs := Compare(cur, base, 5)
 	if len(regs) != 1 || regs[0].Benchmark != "BenchmarkB" {
 		t.Errorf("missing benchmark not flagged: %+v", regs)
 	}
@@ -156,13 +165,14 @@ func TestGateMissingBenchmark(t *testing.T) {
 		bench("BenchmarkB", map[string]float64{"ns_op": 1}),
 		bench("BenchmarkC", map[string]float64{"ns_op": 999}),
 	)
-	if regs := Compare(grown, base, 5, 0.01); len(regs) != 0 {
+	if regs := Compare(grown, base, 5); len(regs) != 0 {
 		t.Errorf("new benchmark flagged: %+v", regs)
 	}
 }
 
-// TestRunGateEndToEnd exercises the CLI surface: bootstrap, pass,
-// injected regression, and -update.
+// TestRunGateEndToEnd exercises the CLI surface: a missing baseline
+// fails, -update records one, then pass, injected regression, and
+// -update again.
 func TestRunGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	curPath := filepath.Join(dir, "current.json")
@@ -180,16 +190,23 @@ func TestRunGateEndToEnd(t *testing.T) {
 	}
 	write(curPath, file(bench("BenchmarkX", map[string]float64{"ns_op": 1e8})))
 
-	// 1. No baseline: bootstrap and pass.
+	// 1. No baseline: fail, name the -update command, write nothing.
 	var out bytes.Buffer
-	if err := runGate([]string{"-current", curPath, "-baseline", basePath}, &out); err != nil {
-		t.Fatalf("bootstrap gate failed: %v", err)
+	if err := runGate([]string{"-current", curPath, "-baseline", basePath}, &out); err == nil {
+		t.Fatal("gate against a missing baseline passed")
 	}
-	if _, err := os.Stat(basePath); err != nil {
-		t.Fatalf("baseline not bootstrapped: %v", err)
+	want := "go run ./cmd/benchdiff gate -current " + curPath + " -baseline " + basePath + " -update"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("gate output does not name %q:\n%s", want, out.String())
+	}
+	if _, err := os.Stat(basePath); !os.IsNotExist(err) {
+		t.Fatalf("gate wrote a baseline without -update: %v", err)
 	}
 
-	// 2. Same results: pass.
+	// 2. -update records the baseline; the same results then pass.
+	if err := runGate([]string{"-current", curPath, "-baseline", basePath, "-update"}, &out); err != nil {
+		t.Fatalf("update failed: %v", err)
+	}
 	if err := runGate([]string{"-current", curPath, "-baseline", basePath}, &out); err != nil {
 		t.Fatalf("identical gate failed: %v", err)
 	}

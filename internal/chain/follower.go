@@ -37,13 +37,6 @@ func (c *Chain) journalAt(i int) (journalOp, bool) {
 	return c.journal[i], true
 }
 
-// JournalLen returns the number of recorded operations.
-func (c *Chain) JournalLen() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.journal)
-}
-
 func (c *Chain) genesisTime() time.Time {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -364,12 +364,18 @@ func exportJSON(t *testing.T, w *worldgen.World, workers, cacheSize int) []byte 
 // TestConcurrentBuildIsByteIdentical is the tentpole guarantee: the
 // parallel frontier scanner is speculative-but-deterministic, so the
 // exported dataset must match the serial build byte for byte — with
-// and without the fetch cache interposed.
+// and without the fetch cache interposed. The serial build's
+// profit-sharing count is pinned too: it is this world's analogue of
+// the paper's 87,077 (§5.1), and BenchmarkPipelineConcurrency times
+// the same build at 1, 4 and 16 workers.
 func TestConcurrentBuildIsByteIdentical(t *testing.T) {
 	w := sharedWorld
 	serial := exportJSON(t, w, 1, 0)
 	if len(serial) == 0 {
 		t.Fatal("empty serial export")
+	}
+	if got, want := buildDataset(t, w).Stats().ProfitTxs, 852; got != want {
+		t.Errorf("serial build found %d profit-sharing transactions, want %d", got, want)
 	}
 	for _, tc := range []struct {
 		name             string

@@ -11,8 +11,6 @@ import (
 	"net/url"
 	"strings"
 	"time"
-
-	"repro/internal/retry"
 )
 
 // ErrTruncated reports a file larger than MaxFileBytes. The crawler
@@ -102,7 +100,7 @@ func (c *Crawler) get(site siteURL, path string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %w", u, &retry.HTTPError{Status: resp.StatusCode})
+		return nil, fmt.Errorf("GET %s: %s", u, resp.Status)
 	}
 	limit := c.MaxFileBytes
 	if limit <= 0 {

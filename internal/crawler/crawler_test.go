@@ -3,6 +3,7 @@ package crawler_test
 import (
 	"errors"
 	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -124,4 +125,15 @@ func fileKeys(m map[string][]byte) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestFetchNotFoundStatus: a non-200 answer for the index surfaces as
+// an error that names the status the host returned.
+func TestFetchNotFoundStatus(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	t.Cleanup(srv.Close)
+	_, err := crawler.New(srv.URL).Fetch("gone.example")
+	if err == nil || !strings.Contains(err.Error(), "404 Not Found") {
+		t.Errorf("Fetch against a 404 = %v, want an error naming 404 Not Found", err)
+	}
 }

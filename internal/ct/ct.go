@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // Entry is one log entry: a DER-encoded certificate and its index.
@@ -340,7 +339,7 @@ func (c *Client) get(path string, v any) error {
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ct: GET %s: %w", path, &retry.HTTPError{Status: resp.StatusCode})
+		return fmt.Errorf("ct: GET %s: %s", path, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
 }

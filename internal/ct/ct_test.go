@@ -1,7 +1,9 @@
 package ct
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -118,5 +120,16 @@ func TestClientErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("missing params status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestClientNotFoundStatus: a non-200 answer surfaces as an error that
+// names the status the log returned.
+func TestClientNotFoundStatus(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
+	_, err := NewClient(srv.URL).TreeSize()
+	if err == nil || !strings.Contains(err.Error(), "404 Not Found") {
+		t.Errorf("TreeSize against a 404 = %v, want an error naming 404 Not Found", err)
 	}
 }

@@ -218,13 +218,6 @@ func (w Wei) Mul64(n int64) Wei {
 	return out
 }
 
-// Div64 returns w / n using truncated integer division.
-func (w Wei) Div64(n int64) Wei {
-	var out Wei
-	out.i.Div(&w.i, big.NewInt(n))
-	return out
-}
-
 // MulDiv returns w * num / den in one step, avoiding intermediate
 // truncation; this is how profit-sharing contracts compute percentage
 // splits (msg.value * 20 / 100).

@@ -93,7 +93,6 @@ var (
 	ErrMemoryLimit    = errors.New("evm: memory limit exceeded")
 	ErrCallDepth      = errors.New("evm: call depth exceeded")
 	ErrRevert         = errors.New("evm: execution reverted")
-	ErrWriteStatic    = errors.New("evm: state write in static context")
 )
 
 // Host is the chain-side interface the interpreter calls back into for

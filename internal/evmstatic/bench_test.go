@@ -1,64 +1,24 @@
 package evmstatic_test
 
 import (
-	"bytes"
 	"fmt"
-	"math/big"
 	"testing"
 
-	"repro/internal/contracts"
-	"repro/internal/evm"
 	"repro/internal/evmstatic"
 )
 
 // BenchmarkStaticAnalyze measures the full static engine —
 // disassembly, CFG, abstract interpretation, and all three fingerprint
-// analyzers — over representative bytecode sizes: the 45-byte minimal
-// proxy, the real contract templates, and the 21KB adversarial chain
-// that exhausts the visit budget. scripts/check.sh captures the
+// analyzers — over the static corpus. scripts/check.sh captures the
 // results as BENCH_static.json.
 func BenchmarkStaticAnalyze(b *testing.B) {
-	phisher, err := contracts.ApprovalPhisherRuntime(contracts.ApprovalPhisherSpec{Receiver: addr(0xec)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pyramid, err := contracts.PyramidRuntime(contracts.PyramidSpec{Levels: []contracts.PyramidLevel{
-		{Payee: addr(0x01), Amount: big.NewInt(4_000_000)},
-		{Payee: addr(0x02), Amount: big.NewInt(2_000_000)},
-		{Payee: addr(0x03), Amount: big.NewInt(1_000_000)},
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	claim, err := contracts.Runtime(testSpec(contracts.StyleClaim))
-	if err != nil {
-		b.Fatal(err)
-	}
-	merge, err := contracts.Runtime(testSpec(contracts.StyleNetworkMerge))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		code []byte
-	}{
-		{"minimal-proxy", contracts.MinimalProxyRuntime(addr(0x77))},
-		{"approval-phisher", phisher},
-		{"claim-style", claim},
-		{"pyramid", pyramid},
-		{"networkmerge-style", merge},
-		{"pathological-21k", bytes.Repeat([]byte{evm.JUMPDEST}, 21_000)},
-	}
-	for _, c := range cases {
+	for _, c := range staticCorpus(b) {
 		b.Run(fmt.Sprintf("%s/%dB", c.name, len(c.code)), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(c.code)))
-			var fps int
 			for i := 0; i < b.N; i++ {
-				st := evmstatic.AnalyzeRuntime(c.code, nil)
-				fps = len(st.Fingerprints)
+				evmstatic.AnalyzeRuntime(c.code, nil)
 			}
-			b.ReportMetric(float64(fps), "fingerprints")
 		})
 	}
 }

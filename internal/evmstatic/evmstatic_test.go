@@ -3,6 +3,8 @@ package evmstatic_test
 import (
 	"bytes"
 	"encoding/hex"
+	"math/big"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -287,5 +289,66 @@ func TestAnalyzeBudgetedPathological(t *testing.T) {
 	}
 	if st := evmstatic.AnalyzeRuntime(runtime, nil); st.Budgeted {
 		t.Error("claim-style template exhausted the visit budget")
+	}
+}
+
+// staticCase is one bytecode of the benchmark corpus and the
+// fingerprint families the static engine must report for it.
+type staticCase struct {
+	name     string
+	code     []byte
+	families []evmstatic.Family
+}
+
+// staticCorpus is the representative bytecode BenchmarkStaticAnalyze
+// times and TestAnalyzeCorpusFingerprints pins: the 45-byte minimal
+// proxy, the real contract templates, and the 21KB adversarial chain
+// that exhausts the visit budget.
+func staticCorpus(tb testing.TB) []staticCase {
+	tb.Helper()
+	phisher, err := contracts.ApprovalPhisherRuntime(contracts.ApprovalPhisherSpec{Receiver: addr(0xec)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pyramid, err := contracts.PyramidRuntime(contracts.PyramidSpec{Levels: []contracts.PyramidLevel{
+		{Payee: addr(0x01), Amount: big.NewInt(4_000_000)},
+		{Payee: addr(0x02), Amount: big.NewInt(2_000_000)},
+		{Payee: addr(0x03), Amount: big.NewInt(1_000_000)},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	claim, err := contracts.Runtime(testSpec(contracts.StyleClaim))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	merge, err := contracts.Runtime(testSpec(contracts.StyleNetworkMerge))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []staticCase{
+		{"minimal-proxy", contracts.MinimalProxyRuntime(addr(0x77)), []evmstatic.Family{evmstatic.FamilyProxy}},
+		{"approval-phisher", phisher, []evmstatic.Family{evmstatic.FamilyApprovalPhish}},
+		{"claim-style", claim, nil},
+		{"pyramid", pyramid, []evmstatic.Family{evmstatic.FamilyPyramid}},
+		{"networkmerge-style", merge, nil},
+		{"pathological-21k", bytes.Repeat([]byte{evm.JUMPDEST}, 21_000), nil},
+	}
+}
+
+// TestAnalyzeCorpusFingerprints: each corpus bytecode yields exactly
+// its expected fingerprint families, one finding per family; the
+// profit-sharing templates and the budget-exhausting chain yield none.
+func TestAnalyzeCorpusFingerprints(t *testing.T) {
+	for _, c := range staticCorpus(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var got []evmstatic.Family
+			for _, fp := range evmstatic.AnalyzeRuntime(c.code, nil).Fingerprints {
+				got = append(got, fp.Family)
+			}
+			if !slices.Equal(got, c.families) {
+				t.Errorf("fingerprint families = %v, want %v", got, c.families)
+			}
+		})
 	}
 }

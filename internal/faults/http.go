@@ -20,29 +20,20 @@ func (timeoutError) Temporary() bool { return true }
 // Unwrap lets errors.Is(err, ErrInjected) see through.
 func (timeoutError) Unwrap() error { return ErrInjected }
 
-// RoundTripper decorates an http.RoundTripper with the injector: a
+// RoundTripper decorates http.DefaultTransport with the injector: a
 // rolled fault either replaces the exchange entirely (timeout, reset,
 // synthetic 5xx/429) or corrupts it (truncated body). Plug it into the
-// Transport of the CT client's or crawler's *http.Client.
+// Transport of an *http.Client, such as the JSON-RPC client's.
 type RoundTripper struct {
-	// Base performs real exchanges (default http.DefaultTransport).
-	Base http.RoundTripper
 	// Inj supplies the fault schedule.
 	Inj *Injector
-}
-
-func (rt *RoundTripper) base() http.RoundTripper {
-	if rt.Base != nil {
-		return rt.Base
-	}
-	return http.DefaultTransport
 }
 
 // RoundTrip implements http.RoundTripper.
 func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	kind, fatal, ok := rt.Inj.roll()
 	if !ok {
-		return rt.base().RoundTrip(req)
+		return http.DefaultTransport.RoundTrip(req)
 	}
 	if fatal {
 		// HTTP clients have no fatal-fault consumer; surface the
@@ -57,7 +48,7 @@ func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	case KindRateLimit:
 		return syntheticResponse(req, http.StatusTooManyRequests), nil
 	case KindTruncate:
-		resp, err := rt.base().RoundTrip(req)
+		resp, err := http.DefaultTransport.RoundTrip(req)
 		if err != nil {
 			return nil, err
 		}

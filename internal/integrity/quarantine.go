@@ -300,17 +300,6 @@ func (b *LabelBudget) Note(source string, reason Reason) error {
 	return nil
 }
 
-// Rejects returns the per-"source/reason" rejection counters.
-func (b *LabelBudget) Rejects() map[string]int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]int64, len(b.rejects))
-	for k, v := range b.rejects {
-		out[k] = v
-	}
-	return out
-}
-
 // Total counts all rejections across sources.
 func (b *LabelBudget) Total() int64 {
 	b.mu.Lock()

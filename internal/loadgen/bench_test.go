@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/ethtypes"
 	"repro/internal/rpc"
 	"repro/internal/screen"
 	"repro/internal/worldgen"
@@ -77,9 +76,8 @@ func BenchmarkLoadgenOpenLoop(b *testing.B) {
 }
 
 // BenchmarkLoadgenPipeline: full §5.1 builds under the production
-// decorator stack; gates the end-to-end build latency quantiles and
-// the dataset shape (profit-txs is deterministic — any drift is a
-// correctness regression, not noise).
+// decorator stack; gates the end-to-end build latency quantiles. The
+// dataset it builds is pinned by TestPipelineByteIdentical.
 func BenchmarkLoadgenPipeline(b *testing.B) {
 	w, err := worldgen.Generate(worldgen.TestConfig(7))
 	if err != nil {
@@ -96,20 +94,18 @@ func BenchmarkLoadgenPipeline(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(res.P50Seconds*1e3, "build-p50-ms")
 	b.ReportMetric(res.P99Seconds*1e3, "build-p99-ms")
-	b.ReportMetric(float64(res.ProfitTxs), "profit-txs")
 }
 
 // reportScreenQuantiles attaches the screening run's batch-latency
-// distribution and throughput to the benchmark line. The listed count
-// is a shape metric: the schedule and universe are seeded, so any
-// drift means the screening verdicts themselves changed.
+// distribution and throughput to the benchmark line. The verdicts
+// themselves are pinned by TestScreenSwapUnderLoadByteIdentical and
+// TestScreenBatchRPCByteIdentical.
 func reportScreenQuantiles(b *testing.B, res *ScreenRunResult) {
 	b.Helper()
 	b.ReportMetric(res.BatchP50Seconds*1e6, "p50-us")
 	b.ReportMetric(res.BatchP95Seconds*1e6, "p95-us")
 	b.ReportMetric(res.BatchP99Seconds*1e6, "p99-us")
 	b.ReportMetric(res.AchievedLookups, "achieved-ops-s")
-	b.ReportMetric(float64(res.Listed), "listed")
 }
 
 // BenchmarkScreenBatch: closed-loop screening batches against the
@@ -127,7 +123,7 @@ func BenchmarkScreenBatch(b *testing.B) {
 		g := &ScreenGenerator{
 			Screen:    EngineScreener(eng),
 			Addresses: addrs,
-			Config:    ScreenConfig{Seed: 11, Batches: 500, BatchSize: 64, Concurrency: 4},
+			Config:    screenEngineConfig,
 			Swapper: func() {
 				_, rebuilt := screenUniverse()
 				eng.Swap(rebuilt)
@@ -154,18 +150,7 @@ func BenchmarkScreenBatchRPC(b *testing.B) {
 	eng.Swap(snap)
 	srv := httptest.NewServer(&rpc.Server{Screen: eng})
 	defer srv.Close()
-	client := rpc.NewClient(srv.URL)
-	remote := func(batch []ethtypes.Address) ([]bool, error) {
-		results, err := client.ScreenBatch(batch)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]bool, len(results))
-		for i, r := range results {
-			out[i] = r.Listed
-		}
-		return out, nil
-	}
+	remote := rpcScreener(rpc.NewClient(srv.URL))
 	var res *ScreenRunResult
 	var err error
 	b.ResetTimer()
@@ -173,7 +158,7 @@ func BenchmarkScreenBatchRPC(b *testing.B) {
 		g := &ScreenGenerator{
 			Screen:    remote,
 			Addresses: addrs,
-			Config:    ScreenConfig{Seed: 11, Batches: 100, BatchSize: 64, Concurrency: 8},
+			Config:    screenRPCConfig,
 		}
 		res, err = g.Run()
 		if err != nil {
@@ -187,9 +172,9 @@ func BenchmarkScreenBatchRPC(b *testing.B) {
 // BenchmarkRadarStream: the live-detection streaming workload behind
 // BENCH_radar.json — replay the generated chain through the radar
 // daemon while screening batches run against the engine it keeps
-// hot-swapping. Gates step latency, screening tail latency under
-// radar-driven swap churn, and the deterministic dataset shape
-// (profit-txs, contracts, families, swaps).
+// hot-swapping. Gates step latency and screening tail latency under
+// radar-driven swap churn; TestRadarStreamDeterministic pins the
+// dataset the stream builds.
 func BenchmarkRadarStream(b *testing.B) {
 	w, err := worldgen.Generate(worldgen.TestConfig(7))
 	if err != nil {
@@ -210,10 +195,6 @@ func BenchmarkRadarStream(b *testing.B) {
 	b.ReportMetric(res.ScreenP95Seconds*1e6, "p95-us")
 	b.ReportMetric(res.ScreenP99Seconds*1e6, "p99-us")
 	b.ReportMetric(res.BlocksPerSecond, "blocks-s")
-	b.ReportMetric(float64(res.ProfitTxs), "profit-txs")
-	b.ReportMetric(float64(res.Contracts), "contracts")
-	b.ReportMetric(float64(res.Families), "families")
-	b.ReportMetric(float64(res.Swaps), "swaps")
 }
 
 // BenchmarkLoadgenRPC: the same mixed-op workload over a real HTTP

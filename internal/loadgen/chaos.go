@@ -29,39 +29,40 @@ import (
 type ChaosConfig struct {
 	// Seed drives the good-traffic address schedule.
 	Seed uint64
-	// Workers is the number of closed-loop good clients (default 12).
-	Workers int
-	// Hostiles is the number of concurrent hostile clients per flavor
-	// (slowloris, disconnect, malformed, hung keep-alive; default 2).
-	Hostiles int
-	// ScreenBatchSize is addresses per daas_screenBatch (default 32).
-	ScreenBatchSize int
-	// StepEvery is blocks per radar step while healthy (default 4).
-	StepEvery int
-	// OutageBeats and OutagePause shape the injected upstream outage:
-	// the source stack stays down for Beats×Pause (default 10×150ms,
-	// comfortably past the 1s staleness floor so degraded-mode verdicts
-	// are observable).
-	OutageBeats int
-	OutagePause time.Duration
-	// Limits overrides the server's limits; the zero value applies
-	// tight chaos defaults (MaxInFlight 2, RequestTimeout 2s) chosen so
-	// overload shedding is actually exercised.
-	Limits *rpc.Limits
-	// Registry receives the chaos instruments; nil uses a private one.
-	Registry *obs.Registry
 }
 
-// ChaosResult is one soak's outcome. The boolean-as-number fields
-// (ShedSeen, StaleSeen, ExportIdentical) plus Panics and BadEnvelopes
-// are the gated invariants; the rest is diagnostics.
+// The soak's fixed shape.
+const (
+	// chaosWorkers is the number of closed-loop good clients.
+	chaosWorkers = 12
+	// chaosHostiles is the number of concurrent hostile clients per
+	// flavor (slowloris, disconnect, malformed, hung keep-alive).
+	chaosHostiles = 2
+	// chaosBatchSize is addresses per daas_screenBatch.
+	chaosBatchSize = 32
+	// chaosStepEvery is blocks per radar step while healthy.
+	chaosStepEvery = 4
+	// The source stack stays down for outageBeats×outagePause,
+	// comfortably past the 1s staleness floor so degraded-mode verdicts
+	// are observable.
+	outageBeats = 10
+	outagePause = 150 * time.Millisecond
+)
+
+// chaosLimits are tight server limits chosen so overload shedding is
+// actually exercised.
+var chaosLimits = rpc.Limits{MaxInFlight: 2, RequestTimeout: 2 * time.Second, RetryAfter: time.Second}
+
+// ChaosResult is one soak's outcome. TestChaosSoak asserts the
+// invariants (no panics, no bad envelopes, shedding and staleness
+// seen, fresh after recovery, export identical); the rest is
+// diagnostics.
 type ChaosResult struct {
 	Accepted      uint64  `json:"accepted"`
 	Shed          uint64  `json:"shed"`
 	Timeouts      uint64  `json:"timeouts"`
 	ConnErrors    uint64  `json:"conn_errors"`
 	BadEnvelopes  uint64  `json:"bad_envelopes"`
-	ShedRate      float64 `json:"shed_rate"`
 	AcceptedP50   float64 `json:"accepted_p50_seconds"`
 	AcceptedP99   float64 `json:"accepted_p99_seconds"`
 	Panics        uint64  `json:"panics"`
@@ -156,37 +157,11 @@ type chaosEnvelope struct {
 // honest screening traffic and four flavors of hostile clients hammer
 // the server while the radar's upstream chain goes down mid-run and
 // heals. It returns what happened; asserting on it is the caller's
-// job (TestChaosSoak gates the invariants, BenchmarkChaos feeds
-// BENCH_chaos.json).
+// job (TestChaosSoak asserts the invariants, BenchmarkChaos times the
+// accepted requests for BENCH_chaos.json).
 func RunChaos(w *worldgen.World, cfg ChaosConfig) (*ChaosResult, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 12
-	}
-	if cfg.Hostiles <= 0 {
-		cfg.Hostiles = 2
-	}
-	if cfg.ScreenBatchSize <= 0 {
-		cfg.ScreenBatchSize = 32
-	}
-	if cfg.StepEvery <= 0 {
-		cfg.StepEvery = 4
-	}
-	if cfg.OutageBeats <= 0 {
-		cfg.OutageBeats = 10
-	}
-	if cfg.OutagePause <= 0 {
-		cfg.OutagePause = 150 * time.Millisecond
-	}
-	lim := rpc.Limits{MaxInFlight: 2, RequestTimeout: 2 * time.Second, RetryAfter: time.Second}
-	if cfg.Limits != nil {
-		lim = *cfg.Limits
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	acceptDur := reg.Histogram("daas_loadgen_chaos_accepted_duration_seconds", "latency of accepted screening requests under chaos", obs.DefDurationBuckets)
-	base := reg.Snapshot()
 
 	// Radar over an outage-gated source stack following the world.
 	sw := &outageSwitch{}
@@ -205,7 +180,7 @@ func RunChaos(w *worldgen.World, cfg ChaosConfig) (*ChaosResult, error) {
 
 	// The hardened front door on a real socket: hostile clients need
 	// actual TCP connections to abuse.
-	server := &rpc.Server{Screen: eng, Radar: r, Metrics: reg, Limits: lim}
+	server := &rpc.Server{Screen: eng, Radar: r, Metrics: reg, Limits: chaosLimits}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -247,12 +222,12 @@ func RunChaos(w *worldgen.World, cfg ChaosConfig) (*ChaosResult, error) {
 	httpc := &http.Client{Timeout: 10 * time.Second}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for wkr := 0; wkr < cfg.Workers; wkr++ {
+	for wkr := 0; wkr < chaosWorkers; wkr++ {
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
 			rnd := &rng{state: cfg.Seed + uint64(wkr)*0x9E3779B9}
-			addrs := make([]string, cfg.ScreenBatchSize)
+			addrs := make([]string, chaosBatchSize)
 			for {
 				select {
 				case <-done:
@@ -320,7 +295,7 @@ func RunChaos(w *worldgen.World, cfg ChaosConfig) (*ChaosResult, error) {
 	defer hcancel()
 	var hwg sync.WaitGroup
 	spawnHostile := func(run func() error) {
-		for i := 0; i < cfg.Hostiles; i++ {
+		for i := 0; i < chaosHostiles; i++ {
 			hwg.Add(1)
 			go func() {
 				defer hwg.Done()
@@ -373,7 +348,7 @@ func RunChaos(w *worldgen.World, cfg ChaosConfig) (*ChaosResult, error) {
 				break
 			}
 			moved++
-			if moved%cfg.StepEvery == 0 {
+			if moved%chaosStepEvery == 0 {
 				step()
 			}
 		}
@@ -386,12 +361,12 @@ func RunChaos(w *worldgen.World, cfg ChaosConfig) (*ChaosResult, error) {
 	// keep arriving. Screening must keep answering from the last good
 	// snapshot, with the staleness stamp growing past the 1s floor.
 	sw.down.Store(true)
-	for beat := 0; beat < cfg.OutageBeats; beat++ {
+	for beat := 0; beat < outageBeats; beat++ {
 		if _, ok := f.Advance(); ok {
 			res.Blocks++
 		}
 		step() // fails: counted, never fatal
-		time.Sleep(cfg.OutagePause)
+		time.Sleep(outagePause)
 	}
 
 	// Before healing, prove degraded mode at the wire: the snapshot has
@@ -465,10 +440,7 @@ func RunChaos(w *worldgen.World, cfg ChaosConfig) (*ChaosResult, error) {
 	res.MaxStale = maxStale.Load()
 	res.HostileRuns = hostileRuns.Load()
 	res.HostileHeld = hostileHeld.Load()
-	if n := res.Accepted + res.Shed; n > 0 {
-		res.ShedRate = float64(res.Shed) / float64(n)
-	}
-	snap := reg.Snapshot().Diff(base)
+	snap := reg.Snapshot()
 	if s := snap.Find("daas_loadgen_chaos_accepted_duration_seconds"); s != nil && s.Hist != nil && s.Hist.Count > 0 {
 		res.AcceptedP50 = s.Hist.Quantile(0.50)
 		res.AcceptedP99 = s.Hist.Quantile(0.99)

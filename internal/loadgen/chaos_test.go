@@ -57,10 +57,9 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// BenchmarkChaos feeds the chaos-soak gate in check.sh: the custom
-// metrics land in BENCH_chaos.json and benchdiff gates the committed
-// invariants (panics/bad-envelopes hard zero, shed/stale/export
-// booleans, accepted latency with lower-better tolerance).
+// BenchmarkChaos times the chaos soak for BENCH_chaos.json: benchdiff
+// gates its accepted-request latency at the timing tolerance. The
+// soak's invariants are TestChaosSoak's.
 func BenchmarkChaos(b *testing.B) {
 	w, err := worldgen.Generate(worldgen.TestConfig(7))
 	if err != nil {
@@ -72,21 +71,7 @@ func BenchmarkChaos(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		asBool := func(v bool) float64 {
-			if v {
-				return 1
-			}
-			return 0
-		}
 		b.ReportMetric(res.AcceptedP50*1e6, "accepted-p50-us")
 		b.ReportMetric(res.AcceptedP99*1e6, "accepted-p99-us")
-		b.ReportMetric(float64(res.Panics), "panics")
-		b.ReportMetric(float64(res.BadEnvelopes), "bad-envelopes")
-		b.ReportMetric(asBool(res.Shed > 0), "shed-seen")
-		b.ReportMetric(asBool(res.MaxStale > 0), "stale-seen")
-		b.ReportMetric(asBool(res.FinalStale == 0), "recovered-fresh")
-		b.ReportMetric(asBool(res.ExportIdentical), "export-identical")
-		b.ReportMetric(float64(res.Accepted), "accepted")
-		b.ReportMetric(res.ShedRate, "shed-rate")
 	}
 }

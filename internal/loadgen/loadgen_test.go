@@ -182,7 +182,9 @@ func TestErrorsCounted(t *testing.T) {
 
 // TestPipelineByteIdentical: a loadgen-driven pipeline build through
 // the full decorator stack exports byte-identical JSON to a bare
-// unloaded build — the harness must never perturb the dataset.
+// unloaded build — the harness must never perturb the dataset — and
+// finds this world's 860 profit-sharing transactions, the build
+// BenchmarkLoadgenPipeline times.
 func TestPipelineByteIdentical(t *testing.T) {
 	w := testWorld(t)
 	res, err := RunPipeline(w, PipelineConfig{Builds: 2, Concurrency: 4, CacheSize: 1024})
@@ -191,6 +193,9 @@ func TestPipelineByteIdentical(t *testing.T) {
 	}
 	if !res.Identical {
 		t.Fatal("repeated loadgen builds diverged")
+	}
+	if res.ProfitTxs != 860 {
+		t.Errorf("profit-sharing transactions = %d, want 860", res.ProfitTxs)
 	}
 	if res.P50Seconds <= 0 || res.P99Seconds < res.P50Seconds {
 		t.Errorf("build quantiles implausible: p50=%g p99=%g", res.P50Seconds, res.P99Seconds)

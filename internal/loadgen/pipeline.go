@@ -22,14 +22,11 @@ type PipelineConfig struct {
 	// (daas.NewStack), as in a daas.Client: 0 holds every record the
 	// builds read, a positive size keeps at most that many (LRU).
 	CacheSize int
-	// Registry receives the build-duration histogram and the
-	// instrumented source's metrics. Private registry when nil.
-	Registry *obs.Registry
 }
 
 // PipelineResult summarizes repeated full-pipeline builds under load:
 // wall-time quantiles across builds, the dataset shape (a determinism
-// check as much as a result), and the diffed metric snapshot the run
+// check as much as a result), and the metric snapshot the run
 // produced.
 type PipelineResult struct {
 	Builds         int     `json:"builds"`
@@ -46,7 +43,7 @@ type PipelineResult struct {
 	// Export is the first build's dataset JSON, so callers can compare
 	// against an unloaded baseline build.
 	Export []byte `json:"-"`
-	// Metrics is the run's registry delta.
+	// Metrics is the run's private registry, snapshotted at the end.
 	Metrics obs.Snapshot `json:"-"`
 }
 
@@ -62,12 +59,8 @@ func RunPipeline(w *worldgen.World, cfg PipelineConfig) (*PipelineResult, error)
 	if builds <= 0 {
 		builds = 1
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	buildHist := reg.Histogram("daas_loadgen_build_duration_seconds", "full pipeline build wall time under loadgen", obs.DefDurationBuckets)
-	base := reg.Snapshot()
 
 	src := daas.NewStack(core.LocalSource{Chain: w.Chain}, daas.StackConfig{Metrics: reg, CacheSize: cfg.CacheSize}).Cached()
 
@@ -101,7 +94,7 @@ func RunPipeline(w *worldgen.World, cfg PipelineConfig) (*PipelineResult, error)
 	}
 	res.ElapsedSeconds = obs.Since(start).Seconds()
 
-	snap := reg.Snapshot().Diff(base)
+	snap := reg.Snapshot()
 	res.Metrics = snap
 	if smp := snap.Find("daas_loadgen_build_duration_seconds"); smp != nil && smp.Hist != nil && smp.Hist.Count > 0 {
 		res.MeanSeconds = smp.Hist.Mean()

@@ -19,23 +19,23 @@ type RadarConfig struct {
 	// Seed drives the screening sidecar's batch schedule; the block
 	// stream itself is fully determined by the world.
 	Seed uint64
-	// StepEvery is how many blocks arrive between radar steps
-	// (default 4) — the arrival batching knob.
-	StepEvery int
-	// ScreenBatchSize is the addresses per sidecar screening batch
-	// (default 64).
-	ScreenBatchSize int
-	// ScreenWorkers is the number of concurrent sidecar workers
-	// (default 2).
-	ScreenWorkers int
-	// Registry receives the daas_loadgen_radar_* instruments; nil uses
-	// a private registry.
-	Registry *obs.Registry
 }
+
+// The stream's fixed shape.
+const (
+	// radarStepEvery is how many blocks arrive between radar steps —
+	// the arrival batching.
+	radarStepEvery = 4
+	// radarScreenBatch is the addresses per sidecar screening batch.
+	radarScreenBatch = 64
+	// radarScreenWorkers is the number of concurrent sidecar workers.
+	radarScreenWorkers = 2
+)
 
 // RadarRunResult is one streaming run's outcome. The dataset shape
 // fields (Blocks through Swaps) are pure functions of the world and
-// StepEvery — any drift between runs is a correctness regression. The
+// the arrival batching — any drift between runs is a correctness
+// regression. The
 // latency and throughput fields measure the stream under concurrent
 // screening load.
 type RadarRunResult struct {
@@ -63,24 +63,11 @@ type RadarRunResult struct {
 // screening batches run against the engine it swaps — the streaming
 // analogue of RunPipeline, and the workload behind BENCH_radar.json.
 func RunRadar(w *worldgen.World, cfg RadarConfig) (*RadarRunResult, error) {
-	if cfg.StepEvery <= 0 {
-		cfg.StepEvery = 4
-	}
-	if cfg.ScreenBatchSize <= 0 {
-		cfg.ScreenBatchSize = 64
-	}
-	if cfg.ScreenWorkers <= 0 {
-		cfg.ScreenWorkers = 2
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	stepDur := reg.Histogram("daas_loadgen_radar_step_duration_seconds", "radar step latency during the stream", obs.DefDurationBuckets)
 	screenDur := reg.Histogram("daas_loadgen_radar_screen_batch_duration_seconds", "sidecar screening batch latency under swap churn", obs.DefDurationBuckets)
 	batches := reg.Counter("daas_loadgen_radar_screen_batches_total", "sidecar screening batches issued")
 	listed := reg.Counter("daas_loadgen_radar_listed_total", "listed verdicts returned by the sidecar")
-	base := reg.Snapshot()
 
 	f := chain.NewFollower(w.Chain)
 	dst := f.Chain()
@@ -114,12 +101,12 @@ func RunRadar(w *worldgen.World, cfg RadarConfig) (*RadarRunResult, error) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for wkr := 0; wkr < cfg.ScreenWorkers; wkr++ {
+	for wkr := 0; wkr < radarScreenWorkers; wkr++ {
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
 			rnd := &rng{state: cfg.Seed + uint64(wkr)*0x9E3779B9}
-			batch := make([]ethtypes.Address, cfg.ScreenBatchSize)
+			batch := make([]ethtypes.Address, radarScreenBatch)
 			for {
 				select {
 				case <-done:
@@ -145,7 +132,7 @@ func RunRadar(w *worldgen.World, cfg RadarConfig) (*RadarRunResult, error) {
 	blocksSeen := 0
 	for {
 		advanced := 0
-		for advanced < cfg.StepEvery {
+		for advanced < radarStepEvery {
 			if _, ok := f.Advance(); !ok {
 				break
 			}
@@ -168,7 +155,7 @@ func RunRadar(w *worldgen.World, cfg RadarConfig) (*RadarRunResult, error) {
 	wg.Wait()
 
 	st := r.Status()
-	snap := reg.Snapshot().Diff(base)
+	snap := reg.Snapshot()
 	res := &RadarRunResult{
 		Blocks:         blocksSeen,
 		Contracts:      st.Stats.Contracts,

@@ -3,13 +3,17 @@ package loadgen
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/worldgen"
 )
 
 // TestRadarStreamDeterministic: the streaming run's dataset shape is a
 // pure function of the world and the arrival batching — two runs (with
 // the screening sidecar racing the swaps both times) land on identical
-// contracts, profit-txs, families, and swap counts.
+// contracts, profit-txs, families, and swap counts; those equal the
+// batch pipeline's and clusterer's over the finished chain, and the
+// counts BenchmarkRadarStream's world yields are pinned.
 func TestRadarStreamDeterministic(t *testing.T) {
 	w, err := worldgen.Generate(worldgen.TestConfig(7))
 	if err != nil {
@@ -32,11 +36,33 @@ func TestRadarStreamDeterministic(t *testing.T) {
 	if shape(a) != shape(b) {
 		t.Errorf("stream shape diverged between runs:\n  %v\n  %v", shape(a), shape(b))
 	}
-	if a.Contracts == 0 || a.ProfitTxs == 0 || a.Families == 0 {
-		t.Errorf("degenerate stream shape: %+v", a)
+
+	ds, err := (&core.Pipeline{Source: core.LocalSource{Chain: w.Chain}, Labels: w.Labels}).Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Swaps == 0 {
-		t.Error("stream produced no snapshot swaps")
+	fams, err := (&cluster.Clusterer{Source: core.LocalSource{Chain: w.Chain}, Labels: w.Labels}).Cluster(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ds.Stats()
+	got := [5]int{a.Contracts, a.Operators, a.Affiliates, a.ProfitTxs, a.Families}
+	batch := [5]int{st.Contracts, st.Operators, st.Affiliates, st.ProfitTxs, len(fams)}
+	if got != batch {
+		t.Errorf("stream (contracts, operators, affiliates, profit-txs, families) = %v, batch build = %v", got, batch)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"contracts", uint64(a.Contracts), 23},
+		{"profit-sharing transactions", uint64(a.ProfitTxs), 860},
+		{"families", uint64(a.Families), 9},
+		{"snapshot swaps", a.Swaps, 610},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 	if a.ScreenBatches == 0 {
 		t.Error("screening sidecar issued no batches")

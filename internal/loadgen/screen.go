@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ethtypes"
 	"repro/internal/obs"
@@ -36,12 +35,9 @@ type ScreenConfig struct {
 	Batches int
 	// BatchSize is the addresses per call.
 	BatchSize int
-	// Concurrency is the worker count (default 1); semantics match
-	// Config.Concurrency.
+	// Concurrency is the closed-loop worker count (default 1): each
+	// worker issues its next batch as soon as the previous one returns.
 	Concurrency int
-	// Rate, when positive, dispatches batches open-loop at Rate
-	// batches/second; zero runs closed-loop.
-	Rate float64
 	// Registry receives the daas_loadgen_screen_* instruments; nil uses
 	// a private registry.
 	Registry *obs.Registry
@@ -90,22 +86,18 @@ func (g *ScreenGenerator) ScreenSchedule() ([][]int, error) {
 // a run under snapshot churn must produce exactly the verdicts of an
 // unloaded run over the same logical blacklist.
 type ScreenRunResult struct {
-	Mode            string  `json:"mode"`
 	Seed            uint64  `json:"seed"`
 	Batches         int     `json:"batches"`
 	BatchSize       int     `json:"batch_size"`
 	Errors          int     `json:"errors"`
 	Concurrency     int     `json:"concurrency"`
 	ElapsedSeconds  float64 `json:"elapsed_seconds"`
-	OfferedRate     float64 `json:"offered_rate,omitempty"`
 	AchievedBatches float64 `json:"achieved_batches_s"`
 	AchievedLookups float64 `json:"achieved_lookups_s"`
 	Listed          uint64  `json:"listed"`
 	BatchP50Seconds float64 `json:"batch_p50_seconds"`
 	BatchP95Seconds float64 `json:"batch_p95_seconds"`
 	BatchP99Seconds float64 `json:"batch_p99_seconds"`
-	// DispatchLagP99Seconds mirrors Result's open-loop overload signal.
-	DispatchLagP99Seconds float64 `json:"dispatch_lag_p99_seconds,omitempty"`
 	// SwapCount reports completed Swapper invocations during the run.
 	SwapCount int `json:"swap_count,omitempty"`
 
@@ -133,7 +125,6 @@ func (g *ScreenGenerator) Run() (*ScreenRunResult, error) {
 	batchErrors := reg.Counter("daas_loadgen_screen_batch_errors_total", "failed screening batches")
 	listed := reg.Counter("daas_loadgen_screen_listed_total", "listed verdicts returned")
 	duration := reg.Histogram("daas_loadgen_screen_batch_duration_seconds", "screening batch latency", obs.DefDurationBuckets)
-	lag := reg.Histogram("daas_loadgen_screen_dispatch_lag_seconds", "open-loop dispatch lateness versus the offered schedule", obs.DefDurationBuckets)
 	base := reg.Snapshot()
 
 	verdicts := make([]bool, g.Config.Batches*g.Config.BatchSize)
@@ -190,46 +181,17 @@ func (g *ScreenGenerator) Run() (*ScreenRunResult, error) {
 	}
 
 	start := obs.Now()
-	mode := "closed"
-	if g.Config.Rate > 0 {
-		mode = "open"
-		queue := make(chan int, len(schedule))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for bi := range queue {
-					runOne(bi)
-				}
-			}()
-		}
-		interval := float64(time.Second) / g.Config.Rate
-		for bi := range schedule {
-			due := start.Add(time.Duration(float64(bi) * interval))
-			now := obs.Now()
-			if wait := due.Sub(now); wait > 0 {
-				time.Sleep(wait)
-			} else {
-				lag.ObserveDuration(-due.Sub(now))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for bi := w; bi < len(schedule); bi += workers {
+				runOne(bi)
 			}
-			queue <- bi
-		}
-		close(queue)
-		wg.Wait()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for bi := w; bi < len(schedule); bi += workers {
-					runOne(bi)
-				}
-			}(w)
-		}
-		wg.Wait()
+		}(w)
 	}
+	wg.Wait()
 	elapsed := obs.Since(start)
 	var swapCount int
 	if stopSwapper != nil {
@@ -238,14 +200,12 @@ func (g *ScreenGenerator) Run() (*ScreenRunResult, error) {
 
 	snap := reg.Snapshot().Diff(base)
 	res := &ScreenRunResult{
-		Mode:           mode,
 		Seed:           g.Config.Seed,
 		Batches:        g.Config.Batches,
 		BatchSize:      g.Config.BatchSize,
 		Errors:         int(errCount.Load()),
 		Concurrency:    workers,
 		ElapsedSeconds: elapsed.Seconds(),
-		OfferedRate:    g.Config.Rate,
 		SwapCount:      swapCount,
 		Verdicts:       verdicts,
 	}
@@ -260,11 +220,6 @@ func (g *ScreenGenerator) Run() (*ScreenRunResult, error) {
 		res.BatchP50Seconds = s.Hist.Quantile(0.50)
 		res.BatchP95Seconds = s.Hist.Quantile(0.95)
 		res.BatchP99Seconds = s.Hist.Quantile(0.99)
-	}
-	if mode == "open" {
-		if s := snap.Find("daas_loadgen_screen_dispatch_lag_seconds"); s != nil && s.Hist != nil && s.Hist.Count > 0 {
-			res.DispatchLagP99Seconds = s.Hist.Quantile(0.99)
-		}
 	}
 	return res, nil
 }

@@ -1,11 +1,20 @@
 package loadgen
 
 import (
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/ethtypes"
 	"repro/internal/obs"
+	"repro/internal/rpc"
 	"repro/internal/screen"
+)
+
+// The schedules BenchmarkScreenBatch and BenchmarkScreenBatchRPC time;
+// the tests below pin their verdicts.
+var (
+	screenEngineConfig = ScreenConfig{Seed: 11, Batches: 500, BatchSize: 64, Concurrency: 4}
+	screenRPCConfig    = ScreenConfig{Seed: 11, Batches: 100, BatchSize: 64, Concurrency: 8}
 )
 
 // screenUniverse builds a snapshot listing the even addresses of a
@@ -21,6 +30,48 @@ func screenUniverse() ([]ethtypes.Address, *screen.Snapshot) {
 		}
 	}
 	return addrs, b.Build()
+}
+
+// rpcScreener screens over the wire: daas_screenBatch through client.
+func rpcScreener(client *rpc.Client) ScreenFunc {
+	return func(batch []ethtypes.Address) ([]bool, error) {
+		results, err := client.ScreenBatch(batch)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]bool, len(results))
+		for i, r := range results {
+			out[i] = r.Listed
+		}
+		return out, nil
+	}
+}
+
+// checkVerdicts fails t unless res holds, in schedule order, exactly
+// screenUniverse's truth for g's schedule (an address is listed iff
+// its index is even), and lists want addresses in all.
+func checkVerdicts(t *testing.T, g *ScreenGenerator, res *ScreenRunResult, want uint64) {
+	t.Helper()
+	if res.Errors != 0 {
+		t.Fatalf("%d batch errors", res.Errors)
+	}
+	schedule, err := g.ScreenSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Verdicts) != len(schedule)*g.Config.BatchSize {
+		t.Fatalf("%d verdicts for %d batches of %d", len(res.Verdicts), len(schedule), g.Config.BatchSize)
+	}
+	for bi, idxs := range schedule {
+		for j, k := range idxs {
+			if got := res.Verdicts[bi*g.Config.BatchSize+j]; got != (k%2 == 0) {
+				t.Fatalf("batch %d lookup %d (address %d): listed = %v", bi, j, k, got)
+			}
+		}
+	}
+	if res.Listed != want {
+		t.Errorf("listed = %d, want %d", res.Listed, want)
+	}
 }
 
 func TestScreenScheduleDeterministic(t *testing.T) {
@@ -66,10 +117,11 @@ func TestScreenScheduleDeterministic(t *testing.T) {
 
 // TestScreenSwapUnderLoadByteIdentical is the acceptance gate: a run
 // with continuous snapshot churn returns exactly the verdict vector of
-// an unloaded run over the same logical blacklist.
+// an unloaded run over the same logical blacklist, and both equal the
+// blacklist's truth over BenchmarkScreenBatch's schedule.
 func TestScreenSwapUnderLoadByteIdentical(t *testing.T) {
 	addrs, snap := screenUniverse()
-	cfg := ScreenConfig{Seed: 42, Batches: 50, BatchSize: 32, Concurrency: 4}
+	cfg := screenEngineConfig
 
 	quiet := screen.NewEngine(nil)
 	quiet.Swap(snap)
@@ -102,20 +154,8 @@ func TestScreenSwapUnderLoadByteIdentical(t *testing.T) {
 	if resChurn.SwapCount == 0 {
 		t.Error("swapper never ran during the load")
 	}
-	if resChurn.Errors != 0 || resQuiet.Errors != 0 {
-		t.Fatalf("errors: churned %d, quiet %d", resChurn.Errors, resQuiet.Errors)
-	}
-	if len(resChurn.Verdicts) != len(resQuiet.Verdicts) {
-		t.Fatalf("verdict counts differ: %d vs %d", len(resChurn.Verdicts), len(resQuiet.Verdicts))
-	}
-	for i := range resChurn.Verdicts {
-		if resChurn.Verdicts[i] != resQuiet.Verdicts[i] {
-			t.Fatalf("verdict %d differs under churn", i)
-		}
-	}
-	if resChurn.Listed == 0 {
-		t.Error("no listed verdicts in a half-listed universe")
-	}
+	checkVerdicts(t, gQuiet, resQuiet, 15906)
+	checkVerdicts(t, gChurn, resChurn, 15906)
 
 	rs := reg.Snapshot()
 	if s := rs.Find("daas_loadgen_screen_batches_total"); s == nil || s.Counter != uint64(cfg.Batches) {
@@ -126,30 +166,21 @@ func TestScreenSwapUnderLoadByteIdentical(t *testing.T) {
 	}
 }
 
-// TestScreenOpenLoop drives the paced dispatcher: every batch still
-// completes and the result carries rate and quantile fields.
-func TestScreenOpenLoop(t *testing.T) {
+// TestScreenBatchRPCByteIdentical is the wire counterpart: the
+// schedule BenchmarkScreenBatchRPC times, answered by daas_screenBatch
+// over HTTP, returns exactly the blacklist's truth.
+func TestScreenBatchRPCByteIdentical(t *testing.T) {
 	addrs, snap := screenUniverse()
 	eng := screen.NewEngine(nil)
 	eng.Swap(snap)
-	g := &ScreenGenerator{
-		Screen:    EngineScreener(eng),
-		Addresses: addrs,
-		Config:    ScreenConfig{Seed: 7, Batches: 20, BatchSize: 8, Concurrency: 2, Rate: 5000},
-	}
+	srv := httptest.NewServer(&rpc.Server{Screen: eng})
+	defer srv.Close()
+	g := &ScreenGenerator{Screen: rpcScreener(rpc.NewClient(srv.URL)), Addresses: addrs, Config: screenRPCConfig}
 	res, err := g.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != "open" {
-		t.Errorf("mode = %q, want open", res.Mode)
-	}
-	if res.Errors != 0 {
-		t.Errorf("errors = %d", res.Errors)
-	}
-	if res.AchievedLookups <= 0 || res.BatchP99Seconds <= 0 {
-		t.Errorf("missing rate/quantiles: %+v", res)
-	}
+	checkVerdicts(t, g, res, 3159)
 }
 
 // TestScreenRunValidation covers the config error paths.

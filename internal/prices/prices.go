@@ -67,16 +67,6 @@ func (o *Oracle) ETHUSD(t time.Time) float64 {
 	return ramp + swing
 }
 
-// TokenUSD returns the USD price of one whole token at t. Unregistered
-// tokens are worthless.
-func (o *Oracle) TokenUSD(token ethtypes.Address, t time.Time) float64 {
-	q, ok := o.QuoteOf(token)
-	if !ok {
-		return 0
-	}
-	return q.USD
-}
-
 // ValueUSD converts an asset amount to USD at time t. ETH amounts are
 // wei; ERC-20 amounts are base units scaled by the registered decimals;
 // ERC-721 amounts count items.

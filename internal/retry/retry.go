@@ -8,7 +8,7 @@
 // (the integrity layer, the fetch cache) see a request that eventually
 // succeeded or a failure that retrying did not cure. The CT client
 // (internal/ct) and the crawler (internal/crawler) send each request
-// once and report a non-200 status as an HTTPError.
+// once and report a non-200 status as a plain error naming it.
 //
 // Backoff is deterministic (no jitter): given the same fault schedule
 // the retry sequence is identical run to run, which keeps the

@@ -8,7 +8,7 @@
 // the loop from measurement (§5–§7) to protection (§9).
 //
 // Storage is an internal/screen snapshot: mutations (BlockAddress,
-// LoadDataset, BlockDomain, LoadSnapshot) go through a mutex-guarded
+// LoadDataset, BlockDomain) go through a mutex-guarded
 // builder and publish a freshly compiled immutable snapshot with one
 // atomic store, while Screen and CheckDomain read lock-free — safe for
 // unlimited concurrent screening during a dataset reload, and sharing
@@ -121,23 +121,6 @@ func (g *Guard) LoadDataset(ds *core.Dataset) {
 	}
 	for _, rec := range ds.SortedAffiliates() {
 		g.builder.Add(screen.Record{Address: rec.Address, Kind: screen.KindAffiliate, Reason: screen.ReasonAffiliate})
-	}
-	g.publishLocked()
-}
-
-// LoadSnapshot adopts a compiled screening snapshot (screen.Compile
-// output) wholesale: the serving engine and the wallet guard then
-// consult literally the same record set. Entries added through
-// BlockAddress/BlockDomain afterwards layer on top.
-func (g *Guard) LoadSnapshot(s *screen.Snapshot) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.builder = screen.NewBuilder()
-	for _, rec := range s.Records() {
-		g.builder.Add(rec)
-	}
-	for _, d := range s.Domains() {
-		g.builder.AddDomain(d)
 	}
 	g.publishLocked()
 }

@@ -1,7 +1,15 @@
 #!/usr/bin/env bash
 # Tier-2 verification gate. Tier-1 (go build ./... && go test ./...) is
-# the minimum bar for every commit; this script layers the slower checks
-# on top: vet, the race detector, and the repo's own linter.
+# the minimum bar for every commit; this script adds what tier 1 does
+# not run:
+#   - gofmt and go vet;
+#   - the race detector over every package (go test -race ./...), which
+#     runs every test once: no step below reruns a test by name;
+#   - 10s fuzz smokes of six fuzz targets beyond their seed corpora;
+#   - the perfbench module (its own go.mod), vetted and tested;
+#   - six benchmark suites, each gated on timing and throughput only
+#     against its baseline in scripts/bench/ (5x tolerance);
+#   - reprolint, the repository's own linter.
 #
 # Usage: ./scripts/check.sh   (from the repository root)
 set -euo pipefail
@@ -21,51 +29,15 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./internal/obs/..."
-go test -race ./internal/obs/...
-
-echo "==> go test -race ./internal/core/... ./internal/fetchcache/... ./internal/rpc/..."
-go test -race ./internal/core/... ./internal/fetchcache/... ./internal/rpc/...
-
 echo "==> go test -race ./..."
 go test -race ./...
-
-echo "==> loadgen smoke: fixed-seed schedules are deterministic, exports stay byte-identical"
-go test -count=1 -run 'TestScheduleDeterministic|TestPipelineByteIdentical' ./internal/loadgen/
-
-echo "==> screen race: zero-lock engine and wallet guard under concurrent snapshot swaps"
-go test -race -count=1 -run 'TestEngineSwapUnderConcurrentReads|TestGuardConcurrentReload' ./internal/screen/ ./internal/walletguard/
 
 echo "==> snapshot apply fuzz smoke: Apply of a delta serializes exactly as a Build of the merged set over the seed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzSnapshotApply' -fuzztime 10s ./internal/screen/
 
-echo "==> screen loadgen: batch schedule deterministic, verdicts byte-identical under swap churn"
-go test -count=1 -run 'TestScreenScheduleDeterministic|TestScreenSwapUnderLoadByteIdentical' ./internal/loadgen/
-
-echo "==> cluster truth: §7.1 recovers worldgen's planted families; both edge kinds are load-bearing"
-go test -count=1 -run 'TestClusterMatchesTruth|TestClusterEdgeAblation' ./internal/cluster/
-
-echo "==> radar stream: dataset shape deterministic under concurrent screening load"
-go test -count=1 -run 'TestRadarStreamDeterministic' ./internal/loadgen/
-
 # perfbench is its own module, so the root `go vet ./...` skips it.
 echo "==> perfbench module: vet, then tests of metric lists, traced-vs-untraced radar and study exports"
 (cd perfbench && GOPROXY=off GOFLAGS= GOWORK=off go vet ./... && GOPROXY=off GOFLAGS= GOWORK=off go test -count=1 ./...)
-
-echo "==> benchdiff self-test: the gate demonstrably fails on an injected slowdown"
-go test -count=1 ./cmd/benchdiff/
-
-echo "==> fault-matrix smoke: seeded transport faults under a retrying JSON-RPC client must not change the dataset"
-go test -count=1 -run 'TestFaultMatrixBuildIsByteIdentical' ./daas/
-
-echo "==> corruption-matrix smoke: injected corruption is quarantined, export stays byte-identical"
-go test -count=1 -run 'TestCorruptionMatrixBuildIsByteIdentical' ./daas/
-
-echo "==> checkpoint/resume round trip: killed build resumes byte-identical"
-go test -count=1 -run 'TestCheckpointResumeByteIdentical|TestFaultedCheckpointResumeThroughClient' ./internal/core/ ./daas/
-
-echo "==> quarantined checkpoint round trip: resume preserves quarantine and coverage"
-go test -count=1 -run 'TestQuarantinedCheckpointResumeRoundTrip' ./daas/
 
 echo "==> integrity fuzz smoke: validators are total over the seed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzValidateRecord' -fuzztime 10s ./internal/integrity/
@@ -73,26 +45,14 @@ go test -count=1 -run=NONE -fuzz 'FuzzValidateRecord' -fuzztime 10s ./internal/i
 echo "==> script-src fuzz smoke: the crawler's script scanner returns exactly the reference regexp's submatches over the seed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzScriptSrcs' -fuzztime 10s ./internal/crawler/
 
-echo "==> fingerprint agreement: static fingerprints match dynamic prober verdicts for every style x family, and planted scam shapes over a generated world"
-go test -count=1 -run 'TestFingerprintAgreementMatrix|TestStaticDynamicAgreement|TestFingerprintsOnWorld' ./internal/contracts/
-
-echo "==> pathological bytecode: adversarial jump-dense contracts stay inside the visit budget"
-go test -count=1 -run 'TestAnalyzeBudgetedPathological' ./internal/evmstatic/
-
 echo "==> fingerprint fuzz smoke: the static engine is total over the template corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzFingerprints' -fuzztime 10s ./internal/evmstatic/
-
-echo "==> rpc hardening: body/batch caps, shedding, deadlines, panic recovery, health probes under race"
-go test -race -count=1 -run 'TestBodyCap|TestBatchCap|TestOverloadShed|TestRequestDeadline|TestRadarDeadlineWhileMutexHeld|TestPanicRecovery|TestWriteErrorCounted|TestHealthEndpoints|TestSlowLorisEvicted|TestGracefulServe' ./internal/rpc/
 
 echo "==> rpc fuzz smoke: hardened ServeHTTP is total over the malformed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzServeHTTP' -fuzztime 10s ./internal/rpc/
 
 echo "==> rpc codec fuzz smoke: the daas_screenBatch codec matches encoding/json byte for byte over the seed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzScreenBatchCodec' -fuzztime 10s ./internal/rpc/
-
-echo "==> chaos soak: race-checked hardened server under hostile traffic with a mid-run upstream outage"
-go test -race -count=1 -run 'TestChaosSoak' ./internal/loadgen/
 
 # ---- Benchmark artifacts + regression gates ------------------------
 # tee_err copies its input to stdout and to this script's own stderr.
@@ -108,10 +68,11 @@ tee_err() {
 
 # Each suite is emitted as a daas-bench/v1 JSON artifact under the
 # ignored $bench_dir, so a run leaves the tree clean, and gated against
-# the committed baseline in scripts/bench/. Timing metrics get a
-# generous 5x tolerance (CI machines vary); shape metrics (profit-txs
-# and friends) are deterministic and gate tight. A missing baseline
-# bootstraps itself; record intentional changes with
+# the committed baseline in scripts/bench/. Timing and throughput
+# metrics get a generous 5x tolerance (CI machines vary); the counts
+# the workloads yield are asserted by ordinary tests, so benchdiff
+# fails on any other metric. A missing baseline fails the gate; record
+# a new suite or an intentional change with
 #   go run ./cmd/benchdiff gate -current .bench_build/bench/BENCH_x.json \
 #     -baseline scripts/bench/BENCH_x.baseline.json -update
 bench_dir=.bench_build/bench
