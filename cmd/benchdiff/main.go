@@ -5,7 +5,8 @@
 //	benchdiff gate -current BENCH_pipeline.json -baseline scripts/bench/BENCH_pipeline.baseline.json -tolerance 5
 //
 // emit parses benchmark lines (including b.ReportMetric custom units
-// like p99-us) into a daas-bench/v1 file. gate compares a current file
+// like p99-us) into a daas-bench/v1 file, recording each metric's
+// median over repeated runs (go test -count N). gate compares a current file
 // against a baseline and exits non-zero on regression:
 //
 //   - time-like metrics (ns_op, B_op, allocs_op, *_s/_ms/_us/_ns) are
@@ -137,12 +138,16 @@ var cpuSuffix = regexp.MustCompile(`-\d+$`)
 // ns/op, p99-us, and MB/s become stable JSON keys.
 var unitSan = regexp.MustCompile(`[^A-Za-z0-9_]`)
 
-// ParseGoBench parses `go test -bench` output into entries, merging
-// repeated runs of the same benchmark by keeping the last occurrence
-// (matching go test's own behaviour of reporting each run separately —
-// for gating, one representative run is enough).
+// ParseGoBench parses `go test -bench` output into entries. Repeated
+// runs of one benchmark (go test -count N) fold into one entry whose
+// iteration count and metrics are each the median over the runs, so a
+// single slow run cannot decide a gate.
 func ParseGoBench(r io.Reader) ([]Entry, error) {
-	byName := make(map[string]*Entry)
+	type runs struct {
+		iters   []float64
+		metrics map[string][]float64
+	}
+	byName := make(map[string]*runs)
 	var order []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -175,13 +180,13 @@ func ParseGoBench(r io.Reader) ([]Entry, error) {
 		}
 		e, seen := byName[name]
 		if !seen {
-			e = &Entry{Name: name, Metrics: make(map[string]float64)}
+			e = &runs{metrics: make(map[string][]float64)}
 			byName[name] = e
 			order = append(order, name)
 		}
-		e.Iterations = iters
+		e.iters = append(e.iters, float64(iters))
 		for k, v := range metrics {
-			e.Metrics[k] = v
+			e.metrics[k] = append(e.metrics[k], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -189,9 +194,25 @@ func ParseGoBench(r io.Reader) ([]Entry, error) {
 	}
 	out := make([]Entry, 0, len(order))
 	for _, name := range order {
-		out = append(out, *byName[name])
+		e := byName[name]
+		entry := Entry{Name: name, Iterations: int64(median(e.iters)), Metrics: make(map[string]float64, len(e.metrics))}
+		for k, vs := range e.metrics {
+			entry.Metrics[k] = median(vs)
+		}
+		out = append(out, entry)
 	}
 	return out, nil
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count). It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // metricClass classifies a sanitized unit for gating.

@@ -52,6 +52,47 @@ func TestParseGoBench(t *testing.T) {
 	}
 }
 
+// Repeated runs of one benchmark (go test -count 5) fold into one
+// entry holding each metric's median, so one slow run cannot fail the
+// gate and one fast run cannot hide a slowdown.
+const repeatedBench = `BenchmarkLoadgenSource-2   	       1	  31000000 ns/op	       0.50 p50-us	       3.0 p99-us
+BenchmarkLoadgenSource-2   	       1	  30000000 ns/op	       0.40 p50-us	     100.1 p99-us
+BenchmarkLoadgenOpenLoop-2 	       1	  50000000 ns/op	       2.5 p99-us
+BenchmarkLoadgenSource-2   	       1	  33000000 ns/op	       0.60 p50-us	       4.1 p99-us
+BenchmarkLoadgenSource-2   	       3	  29000000 ns/op	       0.45 p50-us	       3.5 p99-us
+BenchmarkLoadgenSource-2   	       1	  32000000 ns/op	       0.55 p50-us	      21.85 p99-us
+BenchmarkLoadgenOpenLoop-2 	       1	  52000000 ns/op	       3.5 p99-us
+`
+
+func TestParseGoBenchRepeatsTakeMedian(t *testing.T) {
+	entries, err := ParseGoBench(strings.NewReader(repeatedBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("parsed %d entries, want 2 (one per benchmark): %+v", len(entries), entries)
+	}
+	src, open := entries[0], entries[1]
+	if src.Name != "BenchmarkLoadgenSource" || open.Name != "BenchmarkLoadgenOpenLoop" {
+		t.Fatalf("names = %q, %q: want first-seen order", src.Name, open.Name)
+	}
+	for unit, want := range map[string]float64{"ns_op": 31000000, "p50_us": 0.5, "p99_us": 4.1} {
+		if got := src.Metrics[unit]; got != want {
+			t.Errorf("source %s = %g, want the median of 5 runs, %g", unit, got, want)
+		}
+	}
+	if src.Iterations != 1 {
+		t.Errorf("source iterations = %d, want the median, 1", src.Iterations)
+	}
+	// An even count takes the mean of the two middle runs.
+	if got := open.Metrics["p99_us"]; got != 3 {
+		t.Errorf("open-loop p99_us = %g, want 3", got)
+	}
+	if got := open.Metrics["ns_op"]; got != 51000000 {
+		t.Errorf("open-loop ns_op = %g, want 51000000", got)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	cases := map[string]metricClass{
 		"ns_op":          lowerBetter,

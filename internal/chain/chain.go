@@ -431,13 +431,6 @@ func (c *Chain) BalanceOf(a ethtypes.Address) ethtypes.Wei {
 	return c.canon.balance(a)
 }
 
-// NonceOf returns the canonical nonce of a.
-func (c *Chain) NonceOf(a ethtypes.Address) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.canon.nonce(a)
-}
-
 // StorageAt returns a storage word of a contract in canonical state.
 func (c *Chain) StorageAt(a ethtypes.Address, k ethtypes.Hash) ethtypes.Hash {
 	c.mu.RLock()
@@ -539,47 +532,4 @@ func (c *Chain) TxCount() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.txs)
-}
-
-// LogEntry is a log with its transaction and block context, as
-// returned by FilterLogs (the simulator's eth_getLogs).
-type LogEntry struct {
-	Log
-	TxHash      ethtypes.Hash
-	BlockNumber uint64
-	Timestamp   time.Time
-}
-
-// FilterLogs returns, in chain order, every log in blocks
-// [fromBlock, toBlock] matching the optional address and first-topic
-// filters (nil matches everything) — the event-driven view token
-// analytics consume.
-func (c *Chain) FilterLogs(fromBlock, toBlock uint64, address *ethtypes.Address, topic0 *ethtypes.Hash) []LogEntry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if toBlock >= uint64(len(c.blocks)) {
-		toBlock = uint64(len(c.blocks)) - 1
-	}
-	var out []LogEntry
-	for n := fromBlock; n <= toBlock && n < uint64(len(c.blocks)); n++ {
-		block := c.blocks[n]
-		for _, h := range block.TxHashes {
-			r := c.receipts[h]
-			if r == nil || !r.Status {
-				continue
-			}
-			for _, lg := range r.Logs {
-				if address != nil && lg.Address != *address {
-					continue
-				}
-				if topic0 != nil && (len(lg.Topics) == 0 || lg.Topics[0] != *topic0) {
-					continue
-				}
-				out = append(out, LogEntry{
-					Log: lg, TxHash: h, BlockNumber: n, Timestamp: block.Timestamp,
-				})
-			}
-		}
-	}
-	return out
 }

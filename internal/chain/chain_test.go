@@ -70,8 +70,10 @@ func TestInsufficientFundsRollsBack(t *testing.T) {
 		t.Errorf("alice balance changed: %s", got)
 	}
 	// Failed txs still consume the nonce.
-	if c.NonceOf(alice) != 1 {
-		t.Errorf("nonce = %d, want 1", c.NonceOf(alice))
+	next := &Transaction{From: alice, To: addrPtr(bob), Value: ethtypes.Ether(0)}
+	c.Mine(t0(), next)
+	if next.Nonce != 1 {
+		t.Errorf("nonce after failed tx = %d, want 1", next.Nonce)
 	}
 }
 
@@ -318,53 +320,5 @@ func TestQuickSupplyConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFilterLogs(t *testing.T) {
-	c := New(t0())
-	c.Fund(alice, ethtypes.Ether(5))
-	// A contract that emits LOG1 with topic 0x1234 on every call.
-	logAsm := evm.NewAssembler().
-		PushInt(0x1234).PushInt(0).PushInt(0).Op(evm.LOG0 + 1).
-		Stop()
-	code := mustAssemble(logAsm)
-	_, rs := c.Mine(t0(), &Transaction{From: alice, Data: deployRuntime(code)})
-	emitter := rs[0].ContractAddress
-
-	for i := 0; i < 3; i++ {
-		c.Mine(t0().Add(time.Duration(i)*time.Hour), &Transaction{From: alice, To: addrPtr(emitter)})
-	}
-	// A benign transfer block in between produces no logs.
-	c.Mine(t0(), &Transaction{From: alice, To: addrPtr(bob), Value: ethtypes.Ether(1)})
-
-	all := c.FilterLogs(0, c.BlockCount()-1, nil, nil)
-	if len(all) != 3 {
-		t.Fatalf("all logs = %d, want 3", len(all))
-	}
-	byAddr := c.FilterLogs(0, c.BlockCount()-1, &emitter, nil)
-	if len(byAddr) != 3 {
-		t.Errorf("address-filtered = %d", len(byAddr))
-	}
-	var topic ethtypes.Hash
-	topic[30], topic[31] = 0x12, 0x34
-	byTopic := c.FilterLogs(0, c.BlockCount()-1, nil, &topic)
-	if len(byTopic) != 3 {
-		t.Errorf("topic-filtered = %d", len(byTopic))
-	}
-	var wrong ethtypes.Hash
-	wrong[31] = 0x99
-	if got := c.FilterLogs(0, c.BlockCount()-1, nil, &wrong); len(got) != 0 {
-		t.Errorf("wrong topic matched %d logs", len(got))
-	}
-	// Block-range restriction.
-	if got := c.FilterLogs(0, 1, &emitter, nil); len(got) != 0 {
-		t.Errorf("deploy block emitted %d logs", len(got))
-	}
-	// Ordering is chain order.
-	for i := 1; i < len(all); i++ {
-		if all[i].BlockNumber < all[i-1].BlockNumber {
-			t.Fatal("logs out of order")
-		}
 	}
 }

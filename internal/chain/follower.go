@@ -88,13 +88,6 @@ func NewFollower(src *Chain) *Follower {
 // Chain returns the destination chain the follower mines into.
 func (f *Follower) Chain() *Chain { return f.dst }
 
-// Caught reports whether the follower has consumed the entire source
-// journal.
-func (f *Follower) Caught() bool {
-	_, ok := f.src.journalAt(f.pos)
-	return !ok
-}
-
 // Advance consumes journal operations up to and including the next
 // block, mining it on the destination. It returns the mined block, or
 // false when the source journal is exhausted (any trailing non-mine

@@ -28,9 +28,6 @@ func TestFollowerReplayIdentical(t *testing.T) {
 		}
 		blocks++
 	}
-	if !f.Caught() {
-		t.Fatal("follower not caught up after exhausting the journal")
-	}
 	if got, want := dst.BlockCount(), world.Chain.BlockCount(); got != want {
 		t.Fatalf("replayed BlockCount = %d, want %d (advanced %d blocks)", got, want, blocks)
 	}

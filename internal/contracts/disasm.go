@@ -6,24 +6,12 @@ import (
 	"repro/internal/evmstatic"
 )
 
-// Instruction is one decoded opcode. The disassembler itself lives in
-// internal/evmstatic; the alias keeps this package's historical API.
-type Instruction = evmstatic.Instruction
-
-// Disassemble decodes runtime bytecode into instructions. Unknown
-// opcodes decode as "INVALID(0xnn)" without stopping, and a PUSH whose
-// operand runs past the end of the code is flagged Truncated rather
-// than silently shortened.
-func Disassemble(code []byte) []Instruction {
-	return evmstatic.Disassemble(code)
-}
-
 // FormatDisassembly renders a full listing, annotating selector
 // comparisons with dictionary signatures and truncated pushes with a
 // "!truncated" marker.
 func FormatDisassembly(code []byte) string {
 	var sb strings.Builder
-	for _, in := range Disassemble(code) {
+	for _, in := range evmstatic.Disassemble(code) {
 		sb.WriteString(in.String())
 		if in.Mnemonic == "PUSH4" && len(in.Operand) == 4 && !in.Truncated {
 			var sel [4]byte

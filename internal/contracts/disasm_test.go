@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/evm"
+	"repro/internal/evmstatic"
 )
 
 func TestDisassembleRoundTripShape(t *testing.T) {
@@ -15,7 +16,7 @@ func TestDisassembleRoundTripShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := Disassemble(runtime)
+	ins := evmstatic.Disassemble(runtime)
 	if len(ins) == 0 {
 		t.Fatal("empty disassembly")
 	}
@@ -44,14 +45,14 @@ func TestDisassembleRoundTripShape(t *testing.T) {
 func TestDisassembleTruncatedPush(t *testing.T) {
 	// PUSH4 with only 2 operand bytes available must not panic.
 	code := []byte{evm.PUSH1 + 3, 0xaa, 0xbb}
-	ins := Disassemble(code)
+	ins := evmstatic.Disassemble(code)
 	if len(ins) != 1 || len(ins[0].Operand) != 2 {
 		t.Errorf("truncated push decoded as %+v", ins)
 	}
 }
 
 func TestDisassembleUnknownOpcode(t *testing.T) {
-	ins := Disassemble([]byte{0xfe, evm.STOP})
+	ins := evmstatic.Disassemble([]byte{0xfe, evm.STOP})
 	if len(ins) != 2 || !strings.Contains(ins[0].Mnemonic, "INVALID") {
 		t.Errorf("unknown opcode decoded as %+v", ins)
 	}

@@ -3,6 +3,7 @@ package contracts
 import (
 	"math/big"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/chain"
@@ -314,7 +315,7 @@ func TestCloneDelegatesToImplementation(t *testing.T) {
 	if !rep.ProxyResolved || rep.ProxyImpl != impl {
 		t.Fatalf("proxy resolution: resolved=%v impl=%s", rep.ProxyResolved, rep.ProxyImpl)
 	}
-	if !evmstatic.HasFamily(rep.Fingerprints, evmstatic.FamilyProxy) {
+	if !slices.Contains(evmstatic.FamilyNames(rep.Fingerprints), string(evmstatic.FamilyProxy)) {
 		t.Error("proxy fingerprint missing after resolution")
 	}
 	if !rep.HasSplit || !rep.RatioKnown || rep.OperatorPerMille != 150 {

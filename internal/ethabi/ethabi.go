@@ -234,17 +234,6 @@ func Decode(types []Type, data []byte) ([]any, error) {
 	return decodeTuple(types, data, data)
 }
 
-// DecodeCall splits calldata into its selector and decoded arguments.
-func DecodeCall(types []Type, calldata []byte) ([4]byte, []any, error) {
-	var sel [4]byte
-	if len(calldata) < 4 {
-		return sel, nil, ErrShort
-	}
-	copy(sel[:], calldata[:4])
-	vals, err := Decode(types, calldata[4:])
-	return sel, vals, err
-}
-
 // decodeTuple decodes fields laid out at the start of head; dynamic
 // offsets are relative to head's start, whole is the enclosing scope
 // (identical to head for top-level calls).

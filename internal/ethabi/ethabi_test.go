@@ -113,24 +113,6 @@ func TestEncodeDecodeMulticallArg(t *testing.T) {
 	}
 }
 
-func TestDecodeCall(t *testing.T) {
-	aff := ethtypes.Addr("0x71f1911911911911911911911911911911164677")
-	data, err := EncodeCall("claimRewards(address)", []Type{AddressT}, []any{aff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, vals, err := DecodeCall([]Type{AddressT}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel != Selector("claimRewards(address)") {
-		t.Error("selector mismatch")
-	}
-	if vals[0].(ethtypes.Address) != aff {
-		t.Error("argument mismatch")
-	}
-}
-
 func TestEncodeErrors(t *testing.T) {
 	if _, err := Encode([]Type{AddressT}, []any{}); err == nil {
 		t.Error("arity mismatch accepted")
@@ -168,9 +150,6 @@ func TestDecodeErrors(t *testing.T) {
 	word[31] = 0xff
 	if _, err := Decode([]Type{BytesT}, word); err == nil {
 		t.Error("overlong bytes accepted")
-	}
-	if _, _, err := DecodeCall([]Type{}, []byte{1, 2}); err == nil {
-		t.Error("3-byte calldata accepted")
 	}
 }
 

@@ -135,21 +135,6 @@ func (a Address) Checksum() string {
 	return string(out)
 }
 
-// VerifyChecksum reports whether s is a validly checksummed (or
-// all-lowercase / all-uppercase, which EIP-55 treats as unchecked)
-// rendering of some address, returning that address.
-func VerifyChecksum(s string) (Address, bool) {
-	a, err := HexToAddress(s)
-	if err != nil {
-		return Address{}, false
-	}
-	body := strings.TrimPrefix(s, "0x")
-	if body == strings.ToLower(body) || body == strings.ToUpper(body) {
-		return a, true
-	}
-	return a, "0x"+body == a.Checksum()
-}
-
 // Hex returns the lowercase 0x-prefixed representation.
 func (h Hash) Hex() string { return "0x" + hex.EncodeToString(h[:]) }
 

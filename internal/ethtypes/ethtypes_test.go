@@ -56,21 +56,6 @@ func TestChecksumKnownAnswers(t *testing.T) {
 		if got := a.Checksum(); got != v {
 			t.Errorf("Checksum(%s) = %s", v, got)
 		}
-		if _, ok := VerifyChecksum(v); !ok {
-			t.Errorf("VerifyChecksum(%s) = false", v)
-		}
-	}
-}
-
-func TestVerifyChecksumRejectsBadCasing(t *testing.T) {
-	// Flip the case of one letter in a valid checksummed address.
-	bad := "0x5AAeb6053F3E94C9b9A09f33669435E7Ef1BeAed"
-	if _, ok := VerifyChecksum(bad); ok {
-		t.Error("VerifyChecksum accepted corrupted casing")
-	}
-	// All-lowercase is always accepted per EIP-55.
-	if _, ok := VerifyChecksum("0x5aaeb6053f3e94c9b9a09f33669435e7ef1beaed"); !ok {
-		t.Error("VerifyChecksum rejected all-lowercase form")
 	}
 }
 
@@ -156,8 +141,8 @@ func TestQuickSplitConservation(t *testing.T) {
 func TestQuickChecksumRoundTrip(t *testing.T) {
 	f := func(raw [20]byte) bool {
 		a := Address(raw)
-		got, ok := VerifyChecksum(a.Checksum())
-		return ok && got == a
+		got, err := HexToAddress(a.Checksum())
+		return err == nil && got == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -48,7 +48,7 @@ func TestDisassembleTruncatedPush(t *testing.T) {
 	if s := in.String(); !strings.Contains(s, "!truncated") {
 		t.Errorf("String() = %q, want truncation marker", s)
 	}
-	if s := evmstatic.FormatDisassembly(ins); !strings.Contains(s, "!truncated") {
+	if s := contracts.FormatDisassembly(code); !strings.Contains(s, "!truncated") {
 		t.Errorf("FormatDisassembly misses truncation marker: %q", s)
 	}
 }

@@ -33,11 +33,6 @@ const (
 	FamilyPyramid Family = "pyramid-payout"
 )
 
-// AllFamilies lists the fingerprint families in report order.
-func AllFamilies() []Family {
-	return []Family{FamilyApprovalPhish, FamilyProxy, FamilyPyramid}
-}
-
 // Fingerprint is one static detection verdict with its evidence.
 type Fingerprint struct {
 	Family Family
@@ -309,17 +304,6 @@ func detectProxy(code []byte, a *analysis) []Fingerprint {
 		}
 	}
 	return out
-}
-
-// HasFamily reports whether any fingerprint of the given family is
-// present.
-func HasFamily(fps []Fingerprint, fam Family) bool {
-	for _, fp := range fps {
-		if fp.Family == fam {
-			return true
-		}
-	}
-	return false
 }
 
 // FamilyNames returns the sorted, deduplicated family labels of fps —

@@ -286,14 +286,3 @@ func (r *StaticAnalysis) Summary() string {
 	}
 	return b.String()
 }
-
-// FormatDisassembly renders instructions one per line, including
-// truncation flags.
-func FormatDisassembly(ins []Instruction) string {
-	var b strings.Builder
-	for _, in := range ins {
-		b.WriteString(in.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

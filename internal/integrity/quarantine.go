@@ -261,24 +261,19 @@ func (q *Quarantine) Summarize(w io.Writer) error {
 // rejections exceed the budget fails ingestion loudly instead of
 // silently seeding from a poisoned list.
 type LabelBudget struct {
-	// MaxPerSource is the rejection allowance per source (default 64).
-	MaxPerSource int
+	max int64 // rejection allowance per source
 
 	mu      sync.Mutex
 	rejects map[string]int64 // "source/reason" -> count
 }
 
 // NewLabelBudget returns a budget allowing maxPerSource rejections per
-// source (0 = default).
+// source (0 = default, 64).
 func NewLabelBudget(maxPerSource int) *LabelBudget {
-	return &LabelBudget{MaxPerSource: maxPerSource, rejects: make(map[string]int64)}
-}
-
-func (b *LabelBudget) max() int64 {
-	if b.MaxPerSource > 0 {
-		return int64(b.MaxPerSource)
+	if maxPerSource <= 0 {
+		maxPerSource = 64
 	}
-	return 64
+	return &LabelBudget{max: int64(maxPerSource), rejects: make(map[string]int64)}
 }
 
 // Note records one rejected entry from source. It returns an error only
@@ -293,9 +288,9 @@ func (b *LabelBudget) Note(source string, reason Reason) error {
 			total += v
 		}
 	}
-	if total > b.max() {
+	if total > b.max {
 		return fmt.Errorf("integrity: label source %q exceeded its error budget (%d rejections, budget %d)",
-			source, total, b.max())
+			source, total, b.max)
 	}
 	return nil
 }

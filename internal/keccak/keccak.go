@@ -10,7 +10,6 @@ package keccak
 
 import (
 	"encoding/binary"
-	"hash"
 	"math/bits"
 )
 
@@ -79,23 +78,11 @@ func (a *state) permute() {
 	a[20], a[21], a[22], a[23], a[24] = a20, a21, a22, a23, a24
 }
 
-// digest is a streaming Keccak-256 state implementing hash.Hash.
+// digest is the sponge state Sum256 absorbs its input into.
 type digest struct {
 	a      state
 	buf    [rate]byte
 	buffed int
-}
-
-// New256 returns a new streaming Keccak-256 hash. The zero-cost way to
-// hash a single buffer is Sum256.
-func New256() hash.Hash { return &digest{} }
-
-func (d *digest) Size() int      { return Size }
-func (d *digest) BlockSize() int { return rate }
-
-func (d *digest) Reset() {
-	d.a = state{}
-	d.buffed = 0
 }
 
 // absorb XORs one full rate block into the state and permutes.
@@ -106,8 +93,8 @@ func (d *digest) absorb(block []byte) {
 	d.a.permute()
 }
 
-func (d *digest) Write(p []byte) (int, error) {
-	n := len(p)
+// write absorbs p, buffering any partial block.
+func (d *digest) write(p []byte) {
 	for len(p) > 0 {
 		space := rate - d.buffed
 		take := len(p)
@@ -122,16 +109,6 @@ func (d *digest) Write(p []byte) (int, error) {
 			d.buffed = 0
 		}
 	}
-	return n, nil
-}
-
-func (d *digest) Sum(in []byte) []byte {
-	// Clone so Sum does not disturb the streaming state, matching the
-	// hash.Hash contract.
-	dup := *d
-	var out [Size]byte
-	dup.finalize(&out)
-	return append(in, out[:]...)
 }
 
 // finalize pads with the original Keccak domain bits (0x01 … 0x80) and
@@ -152,7 +129,7 @@ func (d *digest) finalize(out *[Size]byte) {
 func Sum256(data ...[]byte) [Size]byte {
 	var d digest
 	for _, p := range data {
-		d.Write(p)
+		d.write(p)
 	}
 	var out [Size]byte
 	d.finalize(&out)

@@ -1,7 +1,6 @@
 package keccak
 
 import (
-	"bytes"
 	"encoding/hex"
 	"strings"
 	"testing"
@@ -48,48 +47,20 @@ func TestSelectorKnownAnswers(t *testing.T) {
 	}
 }
 
+// Absorbing the input in chunks of any size, across rate-block
+// boundaries, gives the one-shot digest.
 func TestStreamingMatchesOneShot(t *testing.T) {
 	data := []byte(strings.Repeat("drainer-as-a-service profit sharing ", 40))
 	want := Sum256(data)
 
 	for _, chunk := range []int{1, 7, 135, 136, 137, 300} {
-		h := New256()
+		var parts [][]byte
 		for i := 0; i < len(data); i += chunk {
-			end := i + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			h.Write(data[i:end])
+			parts = append(parts, data[i:min(i+chunk, len(data))])
 		}
-		if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
+		if got := Sum256(parts...); got != want {
 			t.Errorf("chunk size %d: got %x, want %x", chunk, got, want)
 		}
-	}
-}
-
-func TestSumDoesNotDisturbState(t *testing.T) {
-	h := New256()
-	h.Write([]byte("part one "))
-	first := h.Sum(nil)
-	second := h.Sum(nil)
-	if !bytes.Equal(first, second) {
-		t.Fatalf("consecutive Sum calls differ: %x vs %x", first, second)
-	}
-	h.Write([]byte("part two"))
-	want := Sum256([]byte("part one part two"))
-	if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
-		t.Errorf("write after Sum: got %x, want %x", got, want)
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := New256()
-	h.Write([]byte("garbage"))
-	h.Reset()
-	h.Write([]byte("abc"))
-	want := Sum256([]byte("abc"))
-	if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
-		t.Errorf("after Reset: got %x, want %x", got, want)
 	}
 }
 
@@ -127,16 +98,6 @@ func TestQuickExtensionChangesDigest(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHashInterfaceSizes(t *testing.T) {
-	h := New256()
-	if h.Size() != 32 {
-		t.Errorf("Size() = %d, want 32", h.Size())
-	}
-	if h.BlockSize() != 136 {
-		t.Errorf("BlockSize() = %d, want 136", h.BlockSize())
 	}
 }
 

@@ -87,18 +87,6 @@ func (d *Directory) Has(a ethtypes.Address, s Source) bool {
 	return false
 }
 
-// IsLabeledPhishing reports whether any source tags a as phishing.
-func (d *Directory) IsLabeledPhishing(a ethtypes.Address) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, l := range d.byAddr[a] {
-		if l.Category == CategoryPhishing {
-			return true
-		}
-	}
-	return false
-}
-
 // EtherscanName returns the Etherscan display tag of a, if any — the
 // clustering step names families from these (§7.1).
 func (d *Directory) EtherscanName(a ethtypes.Address) (string, bool) {

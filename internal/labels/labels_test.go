@@ -24,11 +24,8 @@ func TestAddAndQuery(t *testing.T) {
 	if d.Has(a1, SourceScamSniffer) {
 		t.Error("Has true for absent source")
 	}
-	if !d.IsLabeledPhishing(a1) {
-		t.Error("IsLabeledPhishing false")
-	}
-	if d.IsLabeledPhishing(a2) {
-		t.Error("exchange labeled as phishing")
+	if got := d.AllPhishing(); len(got) != 1 || got[0] != a1 {
+		t.Errorf("AllPhishing = %v, want only %s (the exchange is not phishing)", got, a1)
 	}
 	if d.Count() != 2 {
 		t.Errorf("Count = %d", d.Count())

@@ -346,17 +346,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &Counter{c: v.f.child(values)}
 }
 
-// GaugeVec is a gauge family partitioned by labels. Nil-safe.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return &Gauge{c: v.f.child(values)}
-}
-
 // HistogramVec is a histogram family partitioned by labels. Nil-safe.
 type HistogramVec struct{ f *family }
 
@@ -387,15 +376,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.family(name, help, KindGauge, nil, nil)
 	return &Gauge{c: f.child(nil)}
-}
-
-// GaugeVec registers (or retrieves) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := r.family(name, help, KindGauge, labels, nil)
-	if f == nil {
-		return nil
-	}
-	return &GaugeVec{f: f}
 }
 
 // Histogram registers (or retrieves) an unlabeled histogram with the

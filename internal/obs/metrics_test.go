@@ -116,7 +116,6 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x", "").Inc()
 	r.CounterVec("x", "", "k").With("v").Add(2)
 	r.Gauge("x", "").Set(1)
-	r.GaugeVec("x", "", "k").With("v").Add(1)
 	r.Histogram("x", "", nil).Observe(1)
 	r.HistogramVec("x", "", nil, "k").With("v").Observe(1)
 	if err := r.WritePrometheus(nil); err != nil {

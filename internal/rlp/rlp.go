@@ -1,9 +1,10 @@
 // Package rlp implements Ethereum's Recursive Length Prefix serialization.
 //
 // RLP is the wire format for transactions and block headers; the chain
-// substrate hashes RLP encodings to derive transaction and block
-// identities, and the dataset exporter uses it for compact on-disk
-// snapshots. Only the two RLP kinds exist: byte strings and lists.
+// substrate hashes RLP encodings, built with the Append functions, to
+// derive transaction, block and contract identities. Decode parses an
+// encoding back into items. Only the two RLP kinds exist: byte strings
+// and lists.
 package rlp
 
 import (
@@ -23,8 +24,6 @@ var (
 	ErrCanonical = errors.New("rlp: non-canonical encoding")
 	// ErrTrailing indicates extra bytes after the top-level item.
 	ErrTrailing = errors.New("rlp: trailing bytes")
-	// ErrType indicates an unsupported Go type passed to Encode.
-	ErrType = errors.New("rlp: unsupported type")
 )
 
 // AppendString appends the RLP encoding of the byte string s to dst.
@@ -63,8 +62,7 @@ func AppendBig(dst []byte, v *big.Int) []byte {
 }
 
 // AppendList appends a list header for a payload of n bytes; the caller
-// must append exactly n payload bytes afterwards. Most callers should
-// prefer EncodeList, which measures automatically.
+// must append exactly n payload bytes afterwards.
 func AppendList(dst []byte, payloadLen int) []byte {
 	return appendLength(dst, payloadLen, 0xc0)
 }
@@ -83,59 +81,6 @@ func appendLength(dst []byte, n int, base byte) []byte {
 	}
 	dst = append(dst, base+55+byte(k))
 	return append(dst, buf[:k]...)
-}
-
-// Encode encodes a Go value as RLP. Supported types: []byte, string,
-// uint64, *big.Int, and []Item / []interface{} / [][]byte lists whose
-// elements are themselves supported.
-func Encode(v Item) ([]byte, error) {
-	return encodeTo(nil, v)
-}
-
-func encodeTo(dst []byte, v Item) ([]byte, error) {
-	switch x := v.(type) {
-	case []byte:
-		return AppendString(dst, x), nil
-	case string:
-		return AppendString(dst, []byte(x)), nil
-	case uint64:
-		return AppendUint(dst, x), nil
-	case uint:
-		return AppendUint(dst, uint64(x)), nil
-	case int:
-		if x < 0 {
-			return nil, fmt.Errorf("%w: negative int", ErrType)
-		}
-		return AppendUint(dst, uint64(x)), nil
-	case *big.Int:
-		if x != nil && x.Sign() < 0 {
-			return nil, fmt.Errorf("%w: negative big.Int", ErrType)
-		}
-		return AppendBig(dst, x), nil
-	case []Item:
-		return encodeList(dst, x)
-	case [][]byte:
-		items := make([]Item, len(x))
-		for i := range x {
-			items[i] = x[i]
-		}
-		return encodeList(dst, items)
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrType, v)
-	}
-}
-
-func encodeList(dst []byte, items []Item) ([]byte, error) {
-	var payload []byte
-	for _, it := range items {
-		var err error
-		payload, err = encodeTo(payload, it)
-		if err != nil {
-			return nil, err
-		}
-	}
-	dst = AppendList(dst, len(payload))
-	return append(dst, payload...), nil
 }
 
 // Decode parses a single top-level RLP item and requires the input to be
@@ -248,7 +193,7 @@ func cloneBytes(b []byte) []byte {
 func Bytes(item Item) ([]byte, error) {
 	b, ok := item.([]byte)
 	if !ok {
-		return nil, fmt.Errorf("%w: expected string item, got %T", ErrType, item)
+		return nil, fmt.Errorf("rlp: expected string item, got %T", item)
 	}
 	return b, nil
 }
@@ -257,7 +202,7 @@ func Bytes(item Item) ([]byte, error) {
 func List(item Item) ([]Item, error) {
 	l, ok := item.([]Item)
 	if !ok {
-		return nil, fmt.Errorf("%w: expected list item, got %T", ErrType, item)
+		return nil, fmt.Errorf("rlp: expected list item, got %T", item)
 	}
 	return l, nil
 }

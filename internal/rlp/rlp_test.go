@@ -11,85 +11,77 @@ import (
 	"testing/quick"
 )
 
+// str encodes one byte string.
+func str(s string) []byte { return AppendString(nil, []byte(s)) }
+
+// list wraps already-encoded items in a list header, the way the chain
+// builds its transaction and block encodings.
+func list(items ...[]byte) []byte {
+	var payload []byte
+	for _, it := range items {
+		payload = append(payload, it...)
+	}
+	return append(AppendList(nil, len(payload)), payload...)
+}
+
 // Canonical vectors from the Ethereum wiki RLP specification.
 func TestEncodeKnownAnswers(t *testing.T) {
 	cases := []struct {
-		in   Item
+		name string
+		got  []byte
 		want string
 	}{
-		{[]byte("dog"), "83646f67"},
-		{[]Item{[]byte("cat"), []byte("dog")}, "c88363617483646f67"},
-		{[]byte{}, "80"},
-		{uint64(0), "80"},
-		{[]byte{0x00}, "00"},
-		{uint64(15), "0f"},
-		{uint64(1024), "820400"},
-		{[]Item{}, "c0"},
+		{"dog", str("dog"), "83646f67"},
+		{"[cat dog]", list(str("cat"), str("dog")), "c88363617483646f67"},
+		{"empty string", str(""), "80"},
+		{"uint 0", AppendUint(nil, 0), "80"},
+		{"byte 0x00", AppendString(nil, []byte{0x00}), "00"},
+		{"uint 15", AppendUint(nil, 15), "0f"},
+		{"uint 1024", AppendUint(nil, 1024), "820400"},
+		{"empty list", list(), "c0"},
 		// Set-theoretic representation of three: [ [], [[]], [ [], [[]] ] ].
-		{[]Item{[]Item{}, []Item{[]Item{}}, []Item{[]Item{}, []Item{[]Item{}}}}, "c7c0c1c0c3c0c1c0"},
-		{[]byte("Lorem ipsum dolor sit amet, consectetur adipisicing elit"),
+		{"three", list(list(), list(list()), list(list(), list(list()))), "c7c0c1c0c3c0c1c0"},
+		{"56-byte string", str("Lorem ipsum dolor sit amet, consectetur adipisicing elit"),
 			"b8384c6f72656d20697073756d20646f6c6f722073697420616d65742c20636f6e7365637465747572206164697069736963696e6720656c6974"},
 	}
 	for _, c := range cases {
-		got, err := Encode(c.in)
-		if err != nil {
-			t.Fatalf("Encode(%v): %v", c.in, err)
-		}
-		if hex.EncodeToString(got) != c.want {
-			t.Errorf("Encode(%v) = %x, want %s", c.in, got, c.want)
+		if hex.EncodeToString(c.got) != c.want {
+			t.Errorf("%s: encoded %x, want %s", c.name, c.got, c.want)
 		}
 	}
 }
 
 func TestEncodeBig(t *testing.T) {
 	v, _ := new(big.Int).SetString("102030405060708090a0b0c0d0e0f2", 16)
-	got, err := Encode(v)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := "8f102030405060708090a0b0c0d0e0f2"
-	if hex.EncodeToString(got) != want {
+	if got := AppendBig(nil, v); hex.EncodeToString(got) != want {
 		t.Errorf("got %x, want %s", got, want)
 	}
-	if _, err := Encode(big.NewInt(-1)); err == nil {
-		t.Error("negative big.Int accepted")
+	if got := AppendBig(nil, nil); hex.EncodeToString(got) != "80" {
+		t.Errorf("nil big.Int encoded %x, want 80", got)
 	}
 }
 
 func TestDecodeRoundTrip(t *testing.T) {
-	items := []Item{
-		[]byte("hello"),
-		[]Item{[]byte("a"), []Item{[]byte("nested"), []byte{}}, []byte(strings.Repeat("x", 100))},
-		[]byte{},
+	cases := []struct {
+		enc  []byte
+		want Item
+	}{
+		{str("hello"), []byte("hello")},
+		{
+			list(str("a"), list(str("nested"), str("")), str(strings.Repeat("x", 100))),
+			[]Item{[]byte("a"), []Item{[]byte("nested"), []byte{}}, []byte(strings.Repeat("x", 100))},
+		},
+		{str(""), []byte{}},
 	}
-	for _, it := range items {
-		enc, err := Encode(it)
+	for _, c := range cases {
+		dec, err := Decode(c.enc)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Decode(%x): %v", c.enc, err)
 		}
-		dec, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("Decode(%x): %v", enc, err)
+		if !reflect.DeepEqual(c.want, dec) {
+			t.Errorf("Decode(%x) = %#v, want %#v", c.enc, dec, c.want)
 		}
-		if !reflect.DeepEqual(normalize(it), dec) {
-			t.Errorf("round trip changed %#v to %#v", it, dec)
-		}
-	}
-}
-
-// normalize converts encoder-input shapes into the decoder's output shape.
-func normalize(it Item) Item {
-	switch x := it.(type) {
-	case []byte:
-		return append([]byte{}, x...)
-	case []Item:
-		out := make([]Item, len(x))
-		for i := range x {
-			out[i] = normalize(x[i])
-		}
-		return out
-	default:
-		return it
 	}
 }
 
@@ -121,7 +113,7 @@ func TestDecodeRejectsTrailing(t *testing.T) {
 }
 
 func TestUintAccessors(t *testing.T) {
-	enc, _ := Encode(uint64(1024))
+	enc := AppendUint(nil, 1024)
 	item, _ := Decode(enc)
 	v, err := Uint(item)
 	if err != nil || v != 1024 {
@@ -141,7 +133,7 @@ func TestUintAccessors(t *testing.T) {
 
 func TestBigAccessor(t *testing.T) {
 	want, _ := new(big.Int).SetString("ffffffffffffffffffffffff", 16)
-	enc, _ := Encode(want)
+	enc := AppendBig(nil, want)
 	item, _ := Decode(enc)
 	got, err := Big(item)
 	if err != nil || got.Cmp(want) != 0 {
@@ -150,7 +142,7 @@ func TestBigAccessor(t *testing.T) {
 }
 
 func TestListAccessor(t *testing.T) {
-	enc, _ := Encode([]Item{[]byte("a"), []byte("b")})
+	enc := list(str("a"), str("b"))
 	item, _ := Decode(enc)
 	l, err := List(item)
 	if err != nil || len(l) != 2 {
@@ -164,23 +156,10 @@ func TestListAccessor(t *testing.T) {
 	}
 }
 
-func TestEncodeUnsupported(t *testing.T) {
-	if _, err := Encode(3.14); !errors.Is(err, ErrType) {
-		t.Errorf("got %v, want ErrType", err)
-	}
-	if _, err := Encode(-1); !errors.Is(err, ErrType) {
-		t.Errorf("negative int: got %v, want ErrType", err)
-	}
-}
-
 // Property: every byte string round-trips.
 func TestQuickStringRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		enc, err := Encode(data)
-		if err != nil {
-			return false
-		}
-		dec, err := Decode(enc)
+		dec, err := Decode(AppendString(nil, data))
 		if err != nil {
 			return false
 		}
@@ -211,11 +190,11 @@ func TestQuickUintRoundTrip(t *testing.T) {
 // Property: lists of strings round-trip with order preserved.
 func TestQuickListRoundTrip(t *testing.T) {
 	f := func(parts [][]byte) bool {
-		enc, err := Encode(parts)
-		if err != nil {
-			return false
+		encoded := make([][]byte, len(parts))
+		for i, p := range parts {
+			encoded[i] = AppendString(nil, p)
 		}
-		dec, err := Decode(enc)
+		dec, err := Decode(list(encoded...))
 		if err != nil {
 			return false
 		}
@@ -236,14 +215,22 @@ func TestQuickListRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodeTxShape encodes a transaction-shaped list the way the
+// chain hashes one.
 func BenchmarkEncodeTxShape(b *testing.B) {
-	payload := make([]byte, 68)
-	tx := []Item{uint64(7), uint64(30_000_000_000), uint64(21000),
-		bytes.Repeat([]byte{0xaa}, 20), big.NewInt(1e18), payload}
+	from := bytes.Repeat([]byte{0xaa}, 20)
+	value := big.NewInt(1e18)
+	data := make([]byte, 68)
 	b.ReportAllocs()
+	var payload []byte
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(tx); err != nil {
-			b.Fatal(err)
-		}
+		payload = AppendUint(payload[:0], 7)
+		payload = AppendString(payload, from)
+		payload = AppendBig(payload, value)
+		payload = AppendString(payload, data)
+		payload = AppendUint(payload, 21000)
+		encSink = append(AppendList(encSink[:0], len(payload)), payload...)
 	}
 }
+
+var encSink []byte

@@ -397,62 +397,6 @@ func (c *Client) StorageAt(addr ethtypes.Address, key ethtypes.Hash) (ethtypes.H
 	return ethtypes.HexToHash(raw)
 }
 
-// LogFilter narrows a GetLogs query.
-type LogFilter struct {
-	FromBlock uint64
-	ToBlock   uint64
-	Address   *ethtypes.Address
-	Topic0    *ethtypes.Hash
-}
-
-// GetLogs fetches matching event logs with their tx/block context.
-func (c *Client) GetLogs(f LogFilter) ([]chain.LogEntry, error) {
-	params := struct {
-		FromBlock uint64 `json:"fromBlock"`
-		ToBlock   uint64 `json:"toBlock"`
-		Address   string `json:"address,omitempty"`
-		Topic0    string `json:"topic0,omitempty"`
-	}{FromBlock: f.FromBlock, ToBlock: f.ToBlock}
-	if f.Address != nil {
-		params.Address = f.Address.Hex()
-	}
-	if f.Topic0 != nil {
-		params.Topic0 = f.Topic0.Hex()
-	}
-	var raw []logEntryJSON
-	if err := c.call("repro_getLogs", params, &raw); err != nil {
-		return nil, err
-	}
-	out := make([]chain.LogEntry, 0, len(raw))
-	for _, le := range raw {
-		addr, err := ethtypes.HexToAddress(le.Log.Address)
-		if err != nil {
-			return nil, err
-		}
-		entry := chain.LogEntry{
-			TxHash:      ethtypes.Hash{},
-			BlockNumber: le.BlockNumber,
-			Timestamp:   time.Unix(le.Timestamp, 0).UTC(),
-		}
-		if entry.TxHash, err = ethtypes.HexToHash(le.TxHash); err != nil {
-			return nil, err
-		}
-		entry.Address = addr
-		for _, tp := range le.Log.Topics {
-			topic, err := ethtypes.HexToHash(tp)
-			if err != nil {
-				return nil, err
-			}
-			entry.Topics = append(entry.Topics, topic)
-		}
-		if entry.Data, err = decodeHexBlob(le.Log.Data); err != nil {
-			return nil, err
-		}
-		out = append(out, entry)
-	}
-	return out, nil
-}
-
 // StaticCall performs a read-only eth_call.
 func (c *Client) StaticCall(to ethtypes.Address, data []byte) ([]byte, error) {
 	var raw string

@@ -60,7 +60,7 @@ func FuzzServeHTTP(f *testing.F) {
 		[]byte(`{"jsonrpc":"2.0","id":99999999999999999999999999999,"method":"eth_blockNumber"}`),
 		[]byte(`{"jsonrpc":"2.0","id":1,"method":"eth_call","params":["0xzz","0x"]}`),
 		[]byte(`{"jsonrpc":"2.0","id":1,"method":"daas_radarUpdates","params":[-1,-1]}`),
-		[]byte(`{"jsonrpc":"2.0","id":1,"method":"repro_getLogs","params":{"fromBlock":18446744073709551615}}`),
+		[]byte(`{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":[18446744073709551615]}`),
 		[]byte(strings.Repeat(`[`, 2000)),
 		[]byte(`{"jsonrpc":"2.0","id":1,"method":"daas_screen","params":` + strings.Repeat(`[`, 500) + strings.Repeat(`]`, 500) + `}`),
 		[]byte(`[{"jsonrpc":"2.0","id":1,"method":"eth_blockNumber","params":[]},{"jsonrpc":"2.0","id":2,"method":"nope"}]`),

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ethtypes"
 	"repro/internal/rpc"
-	"repro/internal/tokens"
 	"repro/internal/worldgen"
 )
 
@@ -395,46 +394,5 @@ func TestStorageAtOverRPC(t *testing.T) {
 	}
 	if !valid {
 		t.Errorf("remote storage ratio = %d, not in the documented set", ratio)
-	}
-}
-
-// TestGetLogsOverRPC filters ERC-20 Transfer events remotely.
-func TestGetLogsOverRPC(t *testing.T) {
-	client, done := newPair(t)
-	defer done()
-
-	topic := tokens.TopicTransfer
-	head, err := client.BlockNumber()
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := client.GetLogs(rpc.LogFilter{FromBlock: 0, ToBlock: head, Topic0: &topic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("no Transfer events over RPC")
-	}
-	for i, e := range entries {
-		if len(e.Topics) == 0 || e.Topics[0] != topic {
-			t.Fatalf("entry %d topic mismatch", i)
-		}
-		if e.TxHash.IsZero() {
-			t.Fatalf("entry %d missing tx hash", i)
-		}
-	}
-	// Address filter narrows to one token.
-	tokenAddr := world.TokenAddrs[0]
-	narrowed, err := client.GetLogs(rpc.LogFilter{FromBlock: 0, ToBlock: head, Address: &tokenAddr, Topic0: &topic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(narrowed) == 0 || len(narrowed) >= len(entries) {
-		t.Errorf("address filter degenerate: %d of %d", len(narrowed), len(entries))
-	}
-	for _, e := range narrowed {
-		if e.Address != tokenAddr {
-			t.Fatal("address filter leaked")
-		}
 	}
 }

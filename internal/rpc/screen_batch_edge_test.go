@@ -210,7 +210,6 @@ func TestNilChainServerErrors(t *testing.T) {
 		"repro_getStorageAt":       `["` + screenAddr(1).Hex() + `","0x` + strings.Repeat("00", 32) + `"]`,
 		"repro_isContract":         `["` + screenAddr(1).Hex() + `"]`,
 		"repro_transactionsOf":     `["` + screenAddr(1).Hex() + `"]`,
-		"repro_getLogs":            `{"fromBlock":0,"toBlock":1}`,
 	}
 	for method, params := range calls {
 		body := `{"jsonrpc":"2.0","id":1,"method":"` + method + `","params":` + params + `}`

@@ -86,10 +86,10 @@ var knownMethods = map[string]bool{
 	"eth_getTransactionByHash": true, "repro_getReceipt": true,
 	"eth_getBalance": true, "eth_getCode": true, "eth_call": true,
 	"repro_getStorageAt": true, "repro_isContract": true,
-	"repro_transactionsOf": true, "repro_getLogs": true,
-	"repro_labels": true, "daas_screen": true,
-	"daas_screenBatch": true, "daas_screenDomain": true,
-	"daas_radarStatus": true, "daas_radarUpdates": true,
+	"repro_transactionsOf": true, "repro_labels": true,
+	"daas_screen": true, "daas_screenBatch": true,
+	"daas_screenDomain": true, "daas_radarStatus": true,
+	"daas_radarUpdates": true,
 }
 
 // maxScreenBatch caps one daas_screenBatch request. Anything larger is
@@ -489,45 +489,6 @@ func (s *Server) dispatch(ctx context.Context, method string, params json.RawMes
 		out := make([]string, len(hashes))
 		for i, h := range hashes {
 			out[i] = h.Hex()
-		}
-		return out, nil
-
-	case "repro_getLogs":
-		var args struct {
-			FromBlock uint64 `json:"fromBlock"`
-			ToBlock   uint64 `json:"toBlock"`
-			Address   string `json:"address,omitempty"`
-			Topic0    string `json:"topic0,omitempty"`
-		}
-		if err := json.Unmarshal(params, &args); err != nil {
-			return nil, invalidParams(err.Error())
-		}
-		var addrFilter *ethtypes.Address
-		if args.Address != "" {
-			a, err := ethtypes.HexToAddress(args.Address)
-			if err != nil {
-				return nil, invalidParams(err.Error())
-			}
-			addrFilter = &a
-		}
-		var topicFilter *ethtypes.Hash
-		if args.Topic0 != "" {
-			t, err := ethtypes.HexToHash(args.Topic0)
-			if err != nil {
-				return nil, invalidParams(err.Error())
-			}
-			topicFilter = &t
-		}
-		entries := s.Chain.FilterLogs(args.FromBlock, args.ToBlock, addrFilter, topicFilter)
-		out := make([]logEntryJSON, 0, len(entries))
-		for _, e := range entries {
-			lj := logJSON{Address: e.Address.Hex(), Data: fmt.Sprintf("0x%x", e.Data)}
-			for _, tp := range e.Topics {
-				lj.Topics = append(lj.Topics, tp.Hex())
-			}
-			out = append(out, logEntryJSON{
-				Log: lj, TxHash: e.TxHash.Hex(), BlockNumber: e.BlockNumber, Timestamp: e.Timestamp.Unix(),
-			})
 		}
 		return out, nil
 

@@ -121,13 +121,6 @@ type blockJSON struct {
 	TxHashes  []string `json:"transactions"`
 }
 
-type logEntryJSON struct {
-	Log         logJSON `json:"log"`
-	TxHash      string  `json:"transactionHash"`
-	BlockNumber uint64  `json:"blockNumber"`
-	Timestamp   int64   `json:"timestamp"`
-}
-
 // screenResultJSON is one daas_screen/daas_screenBatch verdict. The
 // record fields are omitted for clean addresses, so a mostly-clean
 // batch response stays compact. SnapshotAge is the whole seconds since

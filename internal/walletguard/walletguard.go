@@ -10,7 +10,7 @@
 // Storage is an internal/screen snapshot: mutations (BlockAddress,
 // LoadDataset, BlockDomain) go through a mutex-guarded
 // builder and publish a freshly compiled immutable snapshot with one
-// atomic store, while Screen and CheckDomain read lock-free — safe for
+// atomic store, while Screen reads lock-free — safe for
 // unlimited concurrent screening during a dataset reload, and sharing
 // one source of truth with the serving-scale screening engine.
 package walletguard
@@ -77,18 +77,15 @@ type Guard struct {
 	mu      sync.Mutex
 	builder *screen.Builder
 	snap    atomic.Pointer[screen.Snapshot]
-	// DrainThreshold is the fraction of the sender's ETH balance whose
-	// outflow triggers the drain notice (default 0.95).
-	DrainThreshold float64
 }
+
+// drainPerMille is the share of the sender's ETH balance, in per
+// mille, whose outflow triggers the drain notice.
+const drainPerMille = 950
 
 // New returns a guard over the given chain with an empty blacklist.
 func New(c *chain.Chain) *Guard {
-	return &Guard{
-		chain:          c,
-		builder:        screen.NewBuilder(),
-		DrainThreshold: 0.95,
-	}
+	return &Guard{chain: c, builder: screen.NewBuilder()}
 }
 
 // publishLocked compiles the builder state and swaps it in; callers
@@ -138,18 +135,6 @@ func (g *Guard) BlockDomain(domain string) {
 
 // BlacklistSize reports the number of blocked accounts.
 func (g *Guard) BlacklistSize() int { return g.snap.Load().Len() }
-
-// CheckDomain screens the website asking for the signature.
-func (g *Guard) CheckDomain(domain string) (Warning, bool) {
-	if g.snap.Load().LookupDomain(domain) {
-		return Warning{
-			Severity: SeverityCritical,
-			Code:     "drainer-website",
-			Detail:   fmt.Sprintf("website %s is a confirmed drainer deployment", domain),
-		}, true
-	}
-	return Warning{}, false
-}
 
 // Screen simulates a pending transaction and returns the verdict. The
 // optional originDomain is the website that requested the signature.
@@ -236,7 +221,7 @@ func (g *Guard) Screen(tx *chain.Transaction, originDomain string) Verdict {
 	// balance out (the defining trait of wallet drainers, §9).
 	balance := g.chain.BalanceOf(tx.From)
 	if balance.Sign() > 0 && outflow.Sign() > 0 {
-		threshold := balance.MulDiv(int64(g.DrainThreshold*1000), 1000)
+		threshold := balance.MulDiv(drainPerMille, 1000)
 		if outflow.Cmp(threshold) >= 0 {
 			v.Warnings = append(v.Warnings, Warning{
 				Severity: SeverityWarning,

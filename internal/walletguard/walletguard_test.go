@@ -225,11 +225,12 @@ func TestGuardConcurrentReload(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if v := g.Screen(tx, "uniswap-claim.com"); !v.Block {
+				v := g.Screen(tx, "uniswap-claim.com")
+				if !v.Block {
 					t.Error("phishing claim passed during reload")
 					return
 				}
-				if _, hit := g.CheckDomain("uniswap-claim.com"); !hit {
+				if !codeSet(v)["drainer-website"] {
 					t.Error("blocked domain missed during reload")
 					return
 				}

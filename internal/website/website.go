@@ -83,6 +83,10 @@ func BuildBenign(domain string, rng *rand.Rand) *Site {
 	return &Site{Domain: domain, Phishing: false, Files: files}
 }
 
+// httpsFraction is the share of phishing sites with certificates
+// (paper: >70%). Benign sites are always HTTPS.
+const httpsFraction = 0.75
+
 // FleetConfig sizes a generated website fleet.
 type FleetConfig struct {
 	Seed uint64
@@ -93,9 +97,6 @@ type FleetConfig struct {
 	// Bait is the number of benign sites whose domains match the
 	// keyword filter anyway (forcing the crawl stage to discriminate).
 	Bait int
-	// HTTPSFraction is the share of phishing sites with certificates
-	// (paper: >70%). Benign sites are always HTTPS.
-	HTTPSFraction float64
 	// Start seeds certificate issuance times.
 	Start time.Time
 }
@@ -117,9 +118,6 @@ var FamilyShare = []struct {
 func GenerateFleet(cfg FleetConfig) []*Site {
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xc0ffee))
 	gen := domains.NewGenerator(cfg.Seed ^ 0xd0)
-	if cfg.HTTPSFraction == 0 {
-		cfg.HTTPSFraction = 0.75
-	}
 	if cfg.Start.IsZero() {
 		cfg.Start = time.Date(2023, 12, 1, 0, 0, 0, 0, time.UTC)
 	}
@@ -153,7 +151,7 @@ func GenerateFleet(cfg FleetConfig) []*Site {
 	}
 	for i := 0; i < cfg.Phishing; i++ {
 		site := BuildPhishing(fresh(gen.Phishing), pickFamily(), 1000+i, rng)
-		site.HTTPS = rng.Float64() < cfg.HTTPSFraction
+		site.HTTPS = rng.Float64() < httpsFraction
 		site.Issued = cfg.Start.Add(time.Duration(rng.Int64N(int64(480 * 24 * time.Hour))))
 		sites = append(sites, site)
 	}

@@ -7,6 +7,8 @@
 #     runs every test once: no step below reruns a test by name;
 #   - 10s fuzz smokes of six fuzz targets beyond their seed corpora;
 #   - the perfbench module (its own go.mod), vetted and tested;
+#   - repro's paper-scale stdout, compared with its golden at
+#     -concurrency 1 and 4;
 #   - six benchmark suites, each gated on timing and throughput only
 #     against its baseline in scripts/bench/ (5x tolerance);
 #   - reprolint, the repository's own linter.
@@ -54,6 +56,22 @@ go test -count=1 -run=NONE -fuzz 'FuzzServeHTTP' -fuzztime 10s ./internal/rpc/
 echo "==> rpc codec fuzz smoke: the daas_screenBatch codec matches encoding/json byte for byte over the seed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzScreenBatchCodec' -fuzztime 10s ./internal/rpc/
 
+# The paper-scale numbers: repro's stdout at chain scale 1.0 (seed 1910)
+# must equal the golden at any -concurrency, minus the three lines that
+# carry wall times ("[world] ... in", "[study] ... in" and the "phishing
+# websites detected ... in" row), which $walltime strips. Regenerate
+# only for an intended output change, and list the changed lines:
+#   go run ./cmd/repro -scale 1.0 -sites 200 | grep -vE "$walltime" \
+#     > cmd/repro/testdata/paper_scale.golden
+walltime='^(\[world\]|\[study\]|  phishing websites detected) .* in [0-9][0-9.hms]*$'
+mkdir -p .bench_build
+go build -o .bench_build/repro ./cmd/repro
+for c in 1 4; do
+  echo "==> paper-scale golden: repro -scale 1.0 -sites 200 -concurrency $c matches cmd/repro/testdata/paper_scale.golden"
+  .bench_build/repro -scale 1.0 -sites 200 -concurrency "$c" > .bench_build/paper_scale.out
+  grep -vE "$walltime" .bench_build/paper_scale.out | diff -u cmd/repro/testdata/paper_scale.golden -
+done
+
 # ---- Benchmark artifacts + regression gates ------------------------
 # tee_err copies its input to stdout and to this script's own stderr.
 # `tee /dev/stderr` reopens the file behind fd 2: plain, it truncates a
@@ -78,9 +96,16 @@ tee_err() {
 bench_dir=.bench_build/bench
 mkdir -p "$bench_dir"
 
+# BenchmarkLoadgenSource and BenchmarkLoadgenOpenLoop time 1,000-2,000
+# sub-microsecond ops per run, so one GC pause moves their p99 by 5-25x:
+# they run 5 times, and emit records each metric's median.
 echo "==> bench: pipeline suite -> $bench_dir/BENCH_pipeline.json"
-go test -run=NONE -bench 'BenchmarkPipelineConcurrency|BenchmarkLoadgenSource|BenchmarkLoadgenOpenLoop|BenchmarkLoadgenPipeline' \
-  -benchtime=1x . ./internal/loadgen/ \
+{
+  go test -run=NONE -bench 'BenchmarkPipelineConcurrency|BenchmarkLoadgenPipeline' \
+    -benchtime=1x . ./internal/loadgen/
+  go test -run=NONE -bench '^(BenchmarkLoadgenSource|BenchmarkLoadgenOpenLoop)$' \
+    -benchtime=1x -count 5 ./internal/loadgen/
+} \
   | tee_err \
   | go run ./cmd/benchdiff emit -suite pipeline -o "$bench_dir/BENCH_pipeline.json"
 go run ./cmd/benchdiff gate -current "$bench_dir/BENCH_pipeline.json" \
