@@ -47,16 +47,16 @@ type CallEnv struct {
 
 // StorageGet reads a word of the contract's own storage.
 func (e *CallEnv) StorageGet(key ethtypes.Hash) ethtypes.Hash {
-	return e.ex.cur.storageGet(e.Self, key)
+	return e.ex.st.storageGet(e.Self, key)
 }
 
 // StorageSet writes a word of the contract's own storage.
 func (e *CallEnv) StorageSet(key, val ethtypes.Hash) {
-	e.ex.cur.storageSet(e.Self, key, val)
+	e.ex.st.storageSet(e.Self, key, val)
 }
 
 // Balance reads any account balance.
-func (e *CallEnv) Balance(a ethtypes.Address) ethtypes.Wei { return e.ex.cur.balance(a) }
+func (e *CallEnv) Balance(a ethtypes.Address) ethtypes.Wei { return e.ex.st.balance(a) }
 
 // Call performs a nested message call from this contract.
 func (e *CallEnv) Call(to ethtypes.Address, value ethtypes.Wei, input []byte) ([]byte, error) {
@@ -85,22 +85,28 @@ func (e *CallEnv) RecordApproval(a Approval) {
 type Chain struct {
 	mu       sync.RWMutex
 	blocks   []*Block
-	txs      map[ethtypes.Hash]*Transaction
-	receipts map[ethtypes.Hash]*Receipt
+	executed map[ethtypes.Hash]executedTx
 	canon    *state
 	natives  map[ethtypes.Address]NativeContract
 	txIndex  map[ethtypes.Address][]ethtypes.Hash
+	touched  []ethtypes.Address // index's scratch buffer
 	// journal records every state-building operation in order, so a
 	// Follower can re-execute the chain block-by-block (see follower.go).
-	journal []journalOp
+	// It grows a chunk at a time, so recording never copies old entries.
+	journal [][]journalOp
+}
+
+// executedTx is a transaction the chain has run, with its receipt.
+type executedTx struct {
+	tx      *Transaction
+	receipt *Receipt
 }
 
 // New returns an empty chain with a genesis block at the given time.
 func New(genesisTime time.Time) *Chain {
 	c := &Chain{
-		txs:      make(map[ethtypes.Hash]*Transaction),
-		receipts: make(map[ethtypes.Hash]*Receipt),
-		canon:    newState(nil),
+		executed: make(map[ethtypes.Hash]executedTx),
+		canon:    newState(),
 		natives:  make(map[ethtypes.Address]NativeContract),
 		txIndex:  make(map[ethtypes.Address][]ethtypes.Hash),
 	}
@@ -115,15 +121,16 @@ func New(genesisTime time.Time) *Chain {
 func (c *Chain) Fund(a ethtypes.Address, amount ethtypes.Wei) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.journal = append(c.journal, journalOp{kind: opFund, addr: a, amount: amount})
-	c.canon.setBalance(a, c.canon.balance(a).Add(amount))
+	c.record(journalOp{kind: opFund, addr: a, amount: amount})
+	// Outside any transaction, so no undo entry is needed.
+	c.canon.balances[a] = c.canon.balance(a).Add(amount)
 }
 
 // RegisterNative installs a Go-implemented contract at addr.
 func (c *Chain) RegisterNative(addr ethtypes.Address, contract NativeContract) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.journal = append(c.journal, journalOp{kind: opNative, addr: addr, native: contract})
+	c.record(journalOp{kind: opNative, addr: addr, native: contract})
 	c.natives[addr] = contract
 }
 
@@ -135,7 +142,7 @@ func (c *Chain) Mine(ts time.Time, txs ...*Transaction) (*Block, []*Receipt) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	c.journal = append(c.journal, journalOp{kind: opMine, ts: ts, txs: txs})
+	c.record(journalOp{kind: opMine, ts: ts, txs: txs})
 	parent := c.blocks[len(c.blocks)-1]
 	block := &Block{Number: parent.Number + 1, Timestamp: ts, Parent: parent.Hash()}
 	receipts := make([]*Receipt, 0, len(txs))
@@ -149,8 +156,8 @@ func (c *Chain) Mine(ts time.Time, txs ...*Transaction) (*Block, []*Receipt) {
 	return block, receipts
 }
 
-// apply executes one transaction against the canonical state.
-// The caller holds the write lock.
+// apply executes one transaction directly on the canonical state. The
+// caller holds the write lock.
 func (c *Chain) apply(tx *Transaction, block *Block) *Receipt {
 	// Assign the sender's current nonce so callers need not track it.
 	tx.Nonce = c.canon.nonce(tx.From)
@@ -164,40 +171,30 @@ func (c *Chain) apply(tx *Transaction, block *Block) *Receipt {
 		BlockNumber: block.Number,
 		Timestamp:   block.Timestamp,
 	}
-	overlay := newState(c.canon)
-	overlay.setNonce(tx.From, tx.Nonce+1)
-
-	ex := &executor{chain: c, cur: overlay, receipt: receipt, gasLimit: tx.GasLimit}
-
-	var err error
-	if tx.To == nil {
-		receipt.ContractAddress, err = ex.create(tx.From, tx.Value, tx.Data)
-	} else {
-		_, err = ex.call(tx.From, *tx.To, tx.Value, tx.Data, 0)
-	}
+	// The nonce write precedes the top frame's mark: a failed
+	// transaction still consumes the sender's nonce.
+	c.canon.setNonce(tx.From, tx.Nonce+1)
+	ex := &executor{chain: c, st: c.canon, receipt: receipt, gasLimit: tx.GasLimit}
+	err := ex.run(tx)
 	receipt.GasUsed = ex.gasUsed
+	receipt.Status = err == nil
 	if err != nil {
-		receipt.Status = false
 		receipt.Err = err.Error()
 		receipt.Transfers = nil
 		receipt.Approvals = nil
 		receipt.Logs = nil
-		// A failed transaction still consumes the sender's nonce.
-		c.canon.setNonce(tx.From, tx.Nonce+1)
-	} else {
-		receipt.Status = true
-		ex.cur.commit() // ex.cur is the tx overlay again after balanced frames
 	}
+	c.canon.journal = c.canon.journal[:0] // the transaction is final
 
-	c.txs[tx.Hash()] = tx
-	c.receipts[tx.Hash()] = receipt
+	c.executed[tx.Hash()] = executedTx{tx, receipt}
 	c.index(tx, receipt)
 	return receipt
 }
 
 // index records which accounts a transaction touched.
 func (c *Chain) index(tx *Transaction, r *Receipt) {
-	for _, a := range TouchedAccounts(tx, r) {
+	c.touched = appendTouched(c.touched[:0], tx, r)
+	for _, a := range c.touched {
 		c.txIndex[a] = append(c.txIndex[a], r.TxHash)
 	}
 }
@@ -206,14 +203,22 @@ func (c *Chain) index(tx *Transaction, r *Receipt) {
 // appears: sender, recipient, created contract, and every transfer and
 // approval party, in that order, without zero or repeated addresses.
 func TouchedAccounts(tx *Transaction, r *Receipt) []ethtypes.Address {
-	seen := make(map[ethtypes.Address]bool, 8)
-	var out []ethtypes.Address
+	return appendTouched(nil, tx, r)
+}
+
+// appendTouched appends TouchedAccounts(tx, r) to dst, which must be
+// empty. The list is a handful of addresses, so a linear scan dedupes it.
+func appendTouched(dst []ethtypes.Address, tx *Transaction, r *Receipt) []ethtypes.Address {
 	add := func(a ethtypes.Address) {
-		if a.IsZero() || seen[a] {
+		if a.IsZero() {
 			return
 		}
-		seen[a] = true
-		out = append(out, a)
+		for _, b := range dst {
+			if a == b {
+				return
+			}
+		}
+		dst = append(dst, a)
 	}
 	add(tx.From)
 	if tx.To != nil {
@@ -228,18 +233,28 @@ func TouchedAccounts(tx *Transaction, r *Receipt) []ethtypes.Address {
 		add(a.Owner)
 		add(a.Spender)
 	}
-	return out
+	return dst
 }
 
-// executor runs one transaction. cur always points at the innermost
-// live overlay; frames push a child on entry and either commit+pop or
-// discard+pop on exit.
+// executor runs one transaction against st, the canonical state under
+// Mine or an overlay under Simulate and StaticCall.
 type executor struct {
 	chain    *Chain
-	cur      *state
+	st       *state
 	receipt  *Receipt
 	gasLimit uint64
 	gasUsed  uint64
+}
+
+// run executes tx's top-level frame, a creation or a message call.
+func (ex *executor) run(tx *Transaction) error {
+	if tx.To == nil {
+		var err error
+		ex.receipt.ContractAddress, err = ex.create(tx.From, tx.Value, tx.Data)
+		return err
+	}
+	_, err := ex.call(tx.From, *tx.To, tx.Value, tx.Data, 0)
+	return err
 }
 
 // call performs a message call: value transfer plus execution of the
@@ -248,21 +263,20 @@ func (ex *executor) call(from, to ethtypes.Address, value ethtypes.Wei, input []
 	if depth > evm.CallDepthLimit {
 		return nil, evm.ErrCallDepth
 	}
-	frame := newState(ex.cur)
-	ex.cur = frame
+	mark := ex.st.mark()
 	markTransfers := len(ex.receipt.Transfers)
 	markApprovals := len(ex.receipt.Approvals)
 	markLogs := len(ex.receipt.Logs)
 
 	fail := func(err error) ([]byte, error) {
-		ex.cur = frame.parent
+		ex.st.revert(mark)
 		ex.receipt.Transfers = ex.receipt.Transfers[:markTransfers]
 		ex.receipt.Approvals = ex.receipt.Approvals[:markApprovals]
 		ex.receipt.Logs = ex.receipt.Logs[:markLogs]
 		return nil, err
 	}
 
-	if err := frame.transfer(from, to, value); err != nil {
+	if err := ex.st.transfer(from, to, value); err != nil {
 		return fail(err)
 	}
 	if value.Sign() > 0 {
@@ -276,7 +290,7 @@ func (ex *executor) call(from, to ethtypes.Address, value ethtypes.Wei, input []
 	if native, ok := ex.chain.natives[to]; ok {
 		env := &CallEnv{Caller: from, Self: to, Value: value, Input: input, Depth: depth, ex: ex}
 		ret, err = native.Run(env)
-	} else if code := frame.codeAt(to); len(code) > 0 {
+	} else if code := ex.st.codeAt(to); len(code) > 0 {
 		res, runErr := evm.Run(&evm.Context{
 			Code:        code,
 			Self:        to,
@@ -295,8 +309,6 @@ func (ex *executor) call(from, to ethtypes.Address, value ethtypes.Wei, input []
 	if err != nil {
 		return fail(err)
 	}
-	frame.commit()
-	ex.cur = frame.parent
 	return ret, nil
 }
 
@@ -305,16 +317,15 @@ func (ex *executor) call(from, to ethtypes.Address, value ethtypes.Wei, input []
 func (ex *executor) create(from ethtypes.Address, value ethtypes.Wei, initcode []byte) (ethtypes.Address, error) {
 	// Nonce was already incremented for this tx; CREATE uses the
 	// pre-increment value.
-	nonce := ex.cur.nonce(from) - 1
+	nonce := ex.st.nonce(from) - 1
 	addr := CreateAddress(from, nonce)
 
-	frame := newState(ex.cur)
-	ex.cur = frame
+	mark := ex.st.mark()
 	fail := func(err error) (ethtypes.Address, error) {
-		ex.cur = frame.parent
+		ex.st.revert(mark)
 		return ethtypes.Address{}, err
 	}
-	if err := frame.transfer(from, addr, value); err != nil {
+	if err := ex.st.transfer(from, addr, value); err != nil {
 		return fail(err)
 	}
 	res, err := evm.Run(&evm.Context{
@@ -331,9 +342,7 @@ func (ex *executor) create(from ethtypes.Address, value ethtypes.Wei, initcode [
 	if err != nil {
 		return fail(fmt.Errorf("chain: constructor failed: %w", err))
 	}
-	frame.setCode(addr, res.ReturnData)
-	frame.commit()
-	ex.cur = frame.parent
+	ex.st.setCode(addr, res.ReturnData)
 	return addr, nil
 }
 
@@ -347,16 +356,16 @@ func (ex *executor) remainingGas() uint64 {
 // evm.Host implementation.
 
 // Balance implements evm.Host.
-func (ex *executor) Balance(a ethtypes.Address) ethtypes.Wei { return ex.cur.balance(a) }
+func (ex *executor) Balance(a ethtypes.Address) ethtypes.Wei { return ex.st.balance(a) }
 
 // StorageGet implements evm.Host.
 func (ex *executor) StorageGet(a ethtypes.Address, k ethtypes.Hash) ethtypes.Hash {
-	return ex.cur.storageGet(a, k)
+	return ex.st.storageGet(a, k)
 }
 
 // StorageSet implements evm.Host.
 func (ex *executor) StorageSet(a ethtypes.Address, k, v ethtypes.Hash) {
-	ex.cur.storageSet(a, k, v)
+	ex.st.storageSet(a, k, v)
 }
 
 // Call implements evm.Host.
@@ -372,7 +381,7 @@ func (ex *executor) EmitLog(a ethtypes.Address, topics []ethtypes.Hash, data []b
 // CodeOf implements evm.CodeHost, letting DELEGATECALL (proxy patterns
 // such as EIP-1167 clones) run the implementation's bytecode inside the
 // proxy's storage context.
-func (ex *executor) CodeOf(a ethtypes.Address) []byte { return ex.cur.codeAt(a) }
+func (ex *executor) CodeOf(a ethtypes.Address) []byte { return ex.st.codeAt(a) }
 
 // Simulate executes a transaction against the canonical state without
 // committing anything — the simulator's equivalent of the pre-signing
@@ -392,17 +401,12 @@ func (c *Chain) Simulate(tx *Transaction) *Receipt {
 	if gasLimit == 0 {
 		gasLimit = DefaultGasLimit
 	}
-	overlay := newState(c.canon)
+	overlay := newOverlay(c.canon)
 	// Mirror apply's nonce handling so CREATE derives the same address
 	// the real execution would.
 	overlay.setNonce(tx.From, c.canon.nonce(tx.From)+1)
-	ex := &executor{chain: c, cur: overlay, receipt: receipt, gasLimit: gasLimit}
-	var err error
-	if tx.To == nil {
-		receipt.ContractAddress, err = ex.create(tx.From, tx.Value, tx.Data)
-	} else {
-		_, err = ex.call(tx.From, *tx.To, tx.Value, tx.Data, 0)
-	}
+	ex := &executor{chain: c, st: overlay, receipt: receipt, gasLimit: gasLimit}
+	err := ex.run(tx)
 	receipt.GasUsed = ex.gasUsed
 	receipt.Status = err == nil
 	if err != nil {
@@ -418,7 +422,7 @@ func (c *Chain) StaticCall(to ethtypes.Address, input []byte) ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	receipt := &Receipt{}
-	ex := &executor{chain: c, cur: newState(c.canon), receipt: receipt, gasLimit: DefaultGasLimit}
+	ex := &executor{chain: c, st: newOverlay(c.canon), receipt: receipt, gasLimit: DefaultGasLimit}
 	return ex.call(ethtypes.ZeroAddress, to, ethtypes.Wei{}, input, 0)
 }
 
@@ -459,22 +463,22 @@ func (c *Chain) IsContract(a ethtypes.Address) bool {
 func (c *Chain) Transaction(h ethtypes.Hash) (*Transaction, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	tx, ok := c.txs[h]
+	e, ok := c.executed[h]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTx, h)
 	}
-	return tx, nil
+	return e.tx, nil
 }
 
 // Receipt returns a receipt by transaction hash.
 func (c *Chain) Receipt(h ethtypes.Hash) (*Receipt, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	r, ok := c.receipts[h]
+	e, ok := c.executed[h]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTx, h)
 	}
-	return r, nil
+	return e.receipt, nil
 }
 
 // BlockCount returns the number of blocks including genesis.
@@ -531,5 +535,5 @@ func (c *Chain) AccountsWithHistory() []ethtypes.Address {
 func (c *Chain) TxCount() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.txs)
+	return len(c.executed)
 }

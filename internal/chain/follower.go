@@ -27,14 +27,28 @@ type journalOp struct {
 	txs    []*Transaction
 }
 
+// journalChunk is the capacity of each journal chunk.
+const journalChunk = 1024
+
+// record appends op to the journal. The caller holds the write lock.
+func (c *Chain) record(op journalOp) {
+	n := len(c.journal)
+	if n == 0 || len(c.journal[n-1]) == journalChunk {
+		c.journal = append(c.journal, make([]journalOp, 0, journalChunk))
+		n++
+	}
+	c.journal[n-1] = append(c.journal[n-1], op)
+}
+
 // journalAt returns journal entry i, or false past the end.
 func (c *Chain) journalAt(i int) (journalOp, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if i >= len(c.journal) {
+	chunk, j := i/journalChunk, i%journalChunk
+	if chunk >= len(c.journal) || j >= len(c.journal[chunk]) {
 		return journalOp{}, false
 	}
-	return c.journal[i], true
+	return c.journal[chunk][j], true
 }
 
 func (c *Chain) genesisTime() time.Time {
@@ -149,8 +163,7 @@ func (c *Chain) adopt(other *Chain) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.blocks = other.blocks
-	c.txs = other.txs
-	c.receipts = other.receipts
+	c.executed = other.executed
 	c.canon = other.canon
 	c.natives = other.natives
 	c.txIndex = other.txIndex

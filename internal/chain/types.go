@@ -106,24 +106,25 @@ func (tx *Transaction) Hash() ethtypes.Hash {
 // layers use it to detect records whose fields were mutated in flight:
 // such a record still carries the stale memo, so Hash() alone cannot
 // see the tampering.
+//
+// The RLP list is hashed in parts, so Data is never copied: the list
+// header, the fields up to Data's length prefix, Data, and GasLimit.
 func (tx *Transaction) RecomputeHash() ethtypes.Hash {
-	to := []byte{}
+	var headBuf [128]byte
+	var to []byte
 	if tx.To != nil {
 		to = tx.To[:]
 	}
-	var payload []byte
-	payload = rlp.AppendUint(payload, tx.Nonce)
-	payload = rlp.AppendString(payload, tx.From[:])
-	payload = rlp.AppendString(payload, to)
-	payload = rlp.AppendBig(payload, tx.Value.Big())
-	payload = rlp.AppendString(payload, tx.Data)
-	payload = rlp.AppendUint(payload, tx.GasLimit)
-	return ethtypes.Hash(keccak.Sum256(wrapList(payload)))
-}
-
-// wrapList prepends the RLP list header to an already-encoded payload.
-func wrapList(payload []byte) []byte {
-	return append(rlp.AppendList(nil, len(payload)), payload...)
+	head := rlp.AppendUint(headBuf[:0], tx.Nonce)
+	head = rlp.AppendString(head, tx.From[:])
+	head = rlp.AppendString(head, to)
+	var value [32]byte
+	head = rlp.AppendString(head, tx.Value.AppendBytes(value[:0]))
+	head = rlp.AppendStringHeader(head, tx.Data)
+	var tailBuf, listBuf [9]byte
+	tail := rlp.AppendUint(tailBuf[:0], tx.GasLimit)
+	list := rlp.AppendList(listBuf[:0], len(head)+len(tx.Data)+len(tail))
+	return ethtypes.Hash(keccak.Sum256(list, head, tx.Data, tail))
 }
 
 // Receipt is the recorded outcome of an executed transaction, including
@@ -150,26 +151,35 @@ type Block struct {
 	hash      ethtypes.Hash
 }
 
-// Hash returns the block identity.
+// Hash returns the block identity: keccak256 of the RLP list of
+// number, timestamp, parent hash and transaction hashes, encoded into
+// one exact-size buffer.
 func (b *Block) Hash() ethtypes.Hash {
 	if !b.hash.IsZero() {
 		return b.hash
 	}
-	var payload []byte
-	payload = rlp.AppendUint(payload, b.Number)
-	payload = rlp.AppendUint(payload, uint64(b.Timestamp.Unix()))
-	payload = rlp.AppendString(payload, b.Parent[:])
+	var headBuf [64]byte
+	head := rlp.AppendUint(headBuf[:0], b.Number)
+	head = rlp.AppendUint(head, uint64(b.Timestamp.Unix()))
+	head = rlp.AppendString(head, b.Parent[:])
+	n := len(head) + len(b.TxHashes)*(1+ethtypes.HashLength)
+	var listBuf [9]byte
+	list := rlp.AppendList(listBuf[:0], n)
+	enc := make([]byte, 0, len(list)+n)
+	enc = append(append(enc, list...), head...)
 	for _, h := range b.TxHashes {
-		payload = rlp.AppendString(payload, h[:])
+		enc = rlp.AppendString(enc, h[:])
 	}
-	b.hash = ethtypes.Hash(keccak.Sum256(wrapList(payload)))
+	b.hash = ethtypes.Hash(keccak.Sum256(enc))
 	return b.hash
 }
 
 // CreateAddress derives the address of a contract created by sender with
 // the given account nonce, per Ethereum's CREATE rule.
 func CreateAddress(sender ethtypes.Address, nonce uint64) ethtypes.Address {
-	payload := rlp.AppendUint(rlp.AppendString(nil, sender[:]), nonce)
-	sum := keccak.Sum256(wrapList(payload))
+	var payloadBuf [32]byte
+	payload := rlp.AppendUint(rlp.AppendString(payloadBuf[:0], sender[:]), nonce)
+	var listBuf [9]byte
+	sum := keccak.Sum256(rlp.AppendList(listBuf[:0], len(payload)), payload)
 	return ethtypes.BytesToAddress(sum[12:])
 }

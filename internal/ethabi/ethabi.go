@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"repro/internal/ethtypes"
 	"repro/internal/keccak"
@@ -18,13 +19,27 @@ import (
 const Word = 32
 
 // Selector returns the 4-byte function selector for a canonical
-// signature such as "claimRewards(address)".
+// signature such as "claimRewards(address)". Each signature is hashed
+// once; later calls read the memo.
 func Selector(signature string) [4]byte {
+	selectors.RLock()
+	sel, ok := selectors.m[signature]
+	selectors.RUnlock()
+	if ok {
+		return sel
+	}
 	sum := keccak.Sum256([]byte(signature))
-	var sel [4]byte
 	copy(sel[:], sum[:4])
+	selectors.Lock()
+	selectors.m[signature] = sel
+	selectors.Unlock()
 	return sel
 }
+
+var selectors = struct {
+	sync.RWMutex
+	m map[string][4]byte
+}{m: make(map[string][4]byte)}
 
 // EventTopic returns the 32-byte topic hash for an event signature such
 // as "Transfer(address,address,uint256)".
@@ -113,119 +128,156 @@ var (
 // encoding. Values must be: ethtypes.Address, *big.Int (non-negative),
 // bool, []byte, or []any for tuples and slices.
 func Encode(types []Type, values []any) ([]byte, error) {
-	if len(types) != len(values) {
-		return nil, fmt.Errorf("%w: %d types, %d values", ErrArity, len(types), len(values))
-	}
-	return encodeTuple(types, values)
+	return encode(nil, types, values)
 }
 
 // EncodeCall returns selector || Encode(types, values) — complete
 // calldata for a function invocation.
 func EncodeCall(signature string, types []Type, values []any) ([]byte, error) {
-	body, err := Encode(types, values)
-	if err != nil {
+	sel := Selector(signature)
+	return encode(sel[:], types, values)
+}
+
+// encode returns prefix followed by the encoding of values, written in
+// place into one buffer of the exact size.
+func encode(prefix []byte, types []Type, values []any) ([]byte, error) {
+	if len(types) != len(values) {
+		return nil, fmt.Errorf("%w: %d types, %d values", ErrArity, len(types), len(values))
+	}
+	out := make([]byte, len(prefix)+tupleSize(types, nil, values))
+	copy(out, prefix)
+	if err := putTuple(out[len(prefix):], types, nil, values); err != nil {
 		return nil, err
 	}
-	sel := Selector(signature)
-	return append(sel[:], body...), nil
+	return out, nil
 }
 
-func encodeTuple(types []Type, values []any) ([]byte, error) {
-	headSize := 0
-	for _, t := range types {
-		headSize += t.headSize()
+// A tuple's values have types fields[i], or all have type *elem (the
+// elements of a dynamic array).
+func typeAt(fields []Type, elem *Type, i int) *Type {
+	if elem != nil {
+		return elem
 	}
-	head := make([]byte, 0, headSize)
-	var tail []byte
-	for i, t := range types {
+	return &fields[i]
+}
+
+// tupleSize is the encoded length of values: each head, plus the tail
+// of each dynamic value. A value that does not match its type adds no
+// tail; putTuple reports it.
+func tupleSize(fields []Type, elem *Type, values []any) int {
+	n := 0
+	for i, v := range values {
+		t := typeAt(fields, elem, i)
+		n += t.headSize()
 		if t.dynamic() {
-			var off [Word]byte
-			putUint(off[:], uint64(headSize+len(tail)))
-			head = append(head, off[:]...)
-			enc, err := encodeValue(t, values[i])
-			if err != nil {
-				return nil, err
-			}
-			tail = append(tail, enc...)
-		} else {
-			enc, err := encodeValue(t, values[i])
-			if err != nil {
-				return nil, err
-			}
-			head = append(head, enc...)
+			n += tailSize(t, v)
 		}
 	}
-	return append(head, tail...), nil
+	return n
 }
 
-func encodeValue(t Type, v any) ([]byte, error) {
+// tailSize is the encoded length of a dynamic value.
+func tailSize(t *Type, v any) int {
+	switch t.Kind {
+	case KindBytes:
+		b, _ := v.([]byte)
+		return Word + pad(len(b))
+	case KindTuple:
+		vals, _ := v.([]any)
+		if len(vals) != len(t.Fields) {
+			return 0
+		}
+		return tupleSize(t.Fields, nil, vals)
+	case KindSlice:
+		vals, _ := v.([]any)
+		return Word + tupleSize(nil, t.Elem, vals)
+	}
+	return 0
+}
+
+// putTuple encodes values into buf, which is exactly tupleSize long:
+// heads in order, each dynamic value's tail after them, its head the
+// tail's offset from the start of buf.
+func putTuple(buf []byte, fields []Type, elem *Type, values []any) error {
+	tail := 0
+	for i := range values {
+		tail += typeAt(fields, elem, i).headSize()
+	}
+	head := 0
+	for i, v := range values {
+		t := typeAt(fields, elem, i)
+		if t.dynamic() {
+			putUint(buf[head:head+Word], uint64(tail))
+			n := tailSize(t, v)
+			if err := putValue(buf[tail:tail+n], t, v); err != nil {
+				return err
+			}
+			head += Word
+			tail += n
+		} else {
+			n := t.headSize()
+			if err := putValue(buf[head:head+n], t, v); err != nil {
+				return err
+			}
+			head += n
+		}
+	}
+	return nil
+}
+
+// putValue encodes v into buf, which is exactly its encoded length.
+func putValue(buf []byte, t *Type, v any) error {
 	switch t.Kind {
 	case KindAddress:
 		a, ok := v.(ethtypes.Address)
 		if !ok {
-			return nil, fmt.Errorf("%w: want Address, got %T", ErrValue, v)
+			return fmt.Errorf("%w: want Address, got %T", ErrValue, v)
 		}
-		out := make([]byte, Word)
-		copy(out[Word-ethtypes.AddressLength:], a[:])
-		return out, nil
+		copy(buf[Word-ethtypes.AddressLength:], a[:])
 	case KindUint256:
 		b, ok := v.(*big.Int)
 		if !ok {
-			return nil, fmt.Errorf("%w: want *big.Int, got %T", ErrValue, v)
+			return fmt.Errorf("%w: want *big.Int, got %T", ErrValue, v)
 		}
 		if b.Sign() < 0 || b.BitLen() > 256 {
-			return nil, fmt.Errorf("%w: uint256 out of range", ErrValue)
+			return fmt.Errorf("%w: uint256 out of range", ErrValue)
 		}
-		out := make([]byte, Word)
-		b.FillBytes(out)
-		return out, nil
+		b.FillBytes(buf)
 	case KindBool:
 		x, ok := v.(bool)
 		if !ok {
-			return nil, fmt.Errorf("%w: want bool, got %T", ErrValue, v)
+			return fmt.Errorf("%w: want bool, got %T", ErrValue, v)
 		}
-		out := make([]byte, Word)
 		if x {
-			out[Word-1] = 1
+			buf[Word-1] = 1
 		}
-		return out, nil
 	case KindBytes:
 		b, ok := v.([]byte)
 		if !ok {
-			return nil, fmt.Errorf("%w: want []byte, got %T", ErrValue, v)
+			return fmt.Errorf("%w: want []byte, got %T", ErrValue, v)
 		}
-		out := make([]byte, Word+pad(len(b)))
-		putUint(out[:Word], uint64(len(b)))
-		copy(out[Word:], b)
-		return out, nil
+		putUint(buf[:Word], uint64(len(b)))
+		copy(buf[Word:], b)
 	case KindTuple:
 		vals, ok := v.([]any)
 		if !ok {
-			return nil, fmt.Errorf("%w: want []any tuple, got %T", ErrValue, v)
+			return fmt.Errorf("%w: want []any tuple, got %T", ErrValue, v)
 		}
 		if len(vals) != len(t.Fields) {
-			return nil, fmt.Errorf("%w: tuple arity", ErrArity)
+			return fmt.Errorf("%w: tuple arity", ErrArity)
 		}
-		return encodeTuple(t.Fields, vals)
+		return putTuple(buf, t.Fields, nil, vals)
 	case KindSlice:
 		vals, ok := v.([]any)
 		if !ok {
-			return nil, fmt.Errorf("%w: want []any slice, got %T", ErrValue, v)
+			return fmt.Errorf("%w: want []any slice, got %T", ErrValue, v)
 		}
-		elemTypes := make([]Type, len(vals))
-		for i := range elemTypes {
-			elemTypes[i] = *t.Elem
-		}
-		body, err := encodeTuple(elemTypes, vals)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, Word, Word+len(body))
-		putUint(out[:Word], uint64(len(vals)))
-		return append(out, body...), nil
+		putUint(buf[:Word], uint64(len(vals)))
+		return putTuple(buf[Word:], nil, t.Elem, vals)
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrValue, t.Kind)
+		return fmt.Errorf("%w: unknown kind %d", ErrValue, t.Kind)
 	}
+	return nil
 }
 
 // Decode parses ABI-encoded data against types, returning one Go value

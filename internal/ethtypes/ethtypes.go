@@ -167,6 +167,13 @@ func WeiFromBig(b *big.Int) Wei {
 	return w
 }
 
+// WeiFromBytes returns the Wei whose big-endian representation is b.
+func WeiFromBytes(b []byte) Wei {
+	var w Wei
+	w.i.SetBytes(b)
+	return w
+}
+
 // Ether returns whole ether expressed in wei (1e18 wei per ether).
 func Ether(n int64) Wei {
 	w := NewWei(n)
@@ -237,6 +244,16 @@ func (w Wei) String() string { return w.i.String() }
 
 // Bytes returns the big-endian byte representation without leading zeros.
 func (w Wei) Bytes() []byte { return w.i.Bytes() }
+
+// AppendBytes appends the big-endian representation of w without
+// leading zeros (what Bytes returns) to dst, allocating only when dst
+// lacks the capacity.
+func (w Wei) AppendBytes(dst []byte) []byte {
+	n := (w.i.BitLen() + 7) / 8
+	dst = append(dst, make([]byte, n)...)
+	w.i.FillBytes(dst[len(dst)-n:])
+	return dst
+}
 
 // Uint64 returns the low 64 bits; callers must know the value fits.
 func (w Wei) Uint64() uint64 { return w.i.Uint64() }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"repro/internal/ethtypes"
 )
@@ -144,7 +145,21 @@ type Result struct {
 	Reverted   bool
 }
 
-var two256 = new(big.Int).Lsh(big.NewInt(1), 256)
+var (
+	two256  = new(big.Int).Lsh(big.NewInt(1), 256)
+	maxWord = new(big.Int).Sub(two256, big.NewInt(1))
+)
+
+// buffers are the stack, memory and jump table one execution reuses
+// from the previous one, so a frame allocates nothing on the hot path.
+type buffers struct {
+	stack     []big.Int
+	args      [7]*big.Int // popN's result
+	mem       []byte
+	jumpdests []uint64
+}
+
+var bufferPool = sync.Pool{New: func() any { return new(buffers) }}
 
 // Run executes ctx.Code to completion and returns the result. A REVERT
 // yields (Result{Reverted: true, ...}, ErrRevert); other failures yield
@@ -153,61 +168,91 @@ func Run(ctx *Context) (Result, error) {
 	if ctx.Depth > CallDepthLimit {
 		return Result{}, ErrCallDepth
 	}
-	in := interp{ctx: ctx, gas: ctx.Gas, jumpdests: analyzeJumpdests(ctx.Code)}
-	return in.run()
+	buf := bufferPool.Get().(*buffers)
+	in := interp{buffers: buf, ctx: ctx, gas: ctx.Gas}
+	in.mem = in.mem[:0]
+	in.jumpdests = analyzeJumpdests(in.jumpdests, ctx.Code)
+	res, err := in.run()
+	bufferPool.Put(buf)
+	return res, err
 }
 
-// analyzeJumpdests marks valid JUMPDEST positions, skipping PUSH data.
-func analyzeJumpdests(code []byte) map[int]bool {
-	dests := make(map[int]bool)
+// analyzeJumpdests fills a bitmap of the valid JUMPDEST positions in
+// code, skipping PUSH data, reusing dst's storage.
+func analyzeJumpdests(dst []uint64, code []byte) []uint64 {
+	n := (len(code) + 63) / 64
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
 	for pc := 0; pc < len(code); pc++ {
 		op := code[pc]
 		if op == JUMPDEST {
-			dests[pc] = true
+			dst[pc/64] |= 1 << (pc % 64)
 		} else if op >= PUSH1 && op <= PUSH1+31 {
 			pc += int(op-PUSH1) + 1
 		}
 	}
-	return dests
+	return dst
 }
 
+// interp is one execution frame. The stack holds words by value: slots
+// [0, sp) are live and each owns its digits, so pushes and arithmetic
+// reuse a slot's storage instead of allocating. A pointer that pop,
+// popN or peek returns stays valid until the next push.
 type interp struct {
-	ctx       *Context
-	stack     []*big.Int
-	mem       []byte
-	gas       uint64
-	jumpdests map[int]bool
+	*buffers
+	ctx *Context
+	sp  int
+	gas uint64
 	// retData holds the return data of the most recent nested CALL.
 	retData []byte
 }
 
-func (in *interp) push(v *big.Int) error {
-	if len(in.stack) >= StackLimit {
-		return ErrStackOverflow
+func (in *interp) isJumpdest(dest uint64) bool {
+	return dest < uint64(len(in.ctx.Code)) && in.jumpdests[dest/64]&(1<<(dest%64)) != 0
+}
+
+// push makes the next slot live and returns it for the caller to set.
+func (in *interp) push() (*big.Int, error) {
+	if in.sp >= StackLimit {
+		return nil, ErrStackOverflow
 	}
-	in.stack = append(in.stack, v)
-	return nil
+	if in.sp == len(in.stack) {
+		in.stack = append(in.stack, big.Int{})
+	}
+	in.sp++
+	return &in.stack[in.sp-1], nil
 }
 
 func (in *interp) pop() (*big.Int, error) {
-	if len(in.stack) == 0 {
+	if in.sp == 0 {
 		return nil, ErrStackUnderflow
 	}
-	v := in.stack[len(in.stack)-1]
-	in.stack = in.stack[:len(in.stack)-1]
-	return v, nil
+	in.sp--
+	return &in.stack[in.sp], nil
 }
 
-func (in *interp) popN(n int) ([]*big.Int, error) {
-	if len(in.stack) < n {
+// peek returns the top word, which an operation that pops one word and
+// pushes one overwrites in place.
+func (in *interp) peek() (*big.Int, error) {
+	if in.sp == 0 {
 		return nil, ErrStackUnderflow
 	}
-	out := make([]*big.Int, n)
-	for i := 0; i < n; i++ {
-		out[i] = in.stack[len(in.stack)-1-i]
+	return &in.stack[in.sp-1], nil
+}
+
+// popN pops n words; element 0 of the result is the former top.
+func (in *interp) popN(n int) ([]*big.Int, error) {
+	if in.sp < n {
+		return nil, ErrStackUnderflow
 	}
-	in.stack = in.stack[:len(in.stack)-n]
-	return out, nil
+	for i := 0; i < n; i++ {
+		in.args[i] = &in.stack[in.sp-1-i]
+	}
+	in.sp -= n
+	return in.args[:n], nil
 }
 
 // charge deducts a flat per-opcode cost; hostile unbounded loops exhaust
@@ -249,11 +294,25 @@ func mod256(v *big.Int) *big.Int {
 	return v
 }
 
-func boolWord(b bool) *big.Int {
+func setBool(v *big.Int, b bool) {
 	if b {
-		return big.NewInt(1)
+		v.SetUint64(1)
+	} else {
+		v.SetUint64(0)
 	}
-	return new(big.Int)
+}
+
+// setWei sets v to w without copying w into a fresh big.Int.
+func setWei(v *big.Int, w ethtypes.Wei) {
+	var buf [32]byte
+	v.SetBytes(w.AppendBytes(buf[:0]))
+}
+
+// wordAddress returns the address in the low 20 bytes of a word.
+func wordAddress(v *big.Int) ethtypes.Address {
+	var word [32]byte
+	v.FillBytes(word[:])
+	return ethtypes.BytesToAddress(word[32-ethtypes.AddressLength:])
 }
 
 func (in *interp) run() (Result, error) {
@@ -272,78 +331,74 @@ func (in *interp) run() (Result, error) {
 		case op == ADD, op == MUL, op == SUB, op == DIV, op == MOD,
 			op == EXP, op == AND, op == OR, op == XOR, op == LT, op == GT,
 			op == EQ, op == SHL, op == SHR:
-			args, err := in.popN(2)
-			if err != nil {
-				return Result{}, err
+			if in.sp < 2 {
+				return Result{}, ErrStackUnderflow
 			}
-			out, err := binop(op, args[0], args[1])
-			if err != nil {
-				return Result{}, err
-			}
-			if err := in.push(out); err != nil {
+			a, _ := in.pop()
+			b, _ := in.peek()
+			if err := binop(op, a, b); err != nil {
 				return Result{}, err
 			}
 			pc++
 
 		case op == ISZERO:
-			v, err := in.pop()
+			v, err := in.peek()
 			if err != nil {
 				return Result{}, err
 			}
-			if err := in.push(boolWord(v.Sign() == 0)); err != nil {
-				return Result{}, err
-			}
+			setBool(v, v.Sign() == 0)
 			pc++
 
 		case op == NOT:
-			v, err := in.pop()
+			v, err := in.peek()
 			if err != nil {
 				return Result{}, err
 			}
-			out := new(big.Int).Sub(two256, big.NewInt(1))
-			out.Xor(out, v)
-			if err := in.push(out); err != nil {
-				return Result{}, err
-			}
+			v.Xor(maxWord, v)
 			pc++
 
 		case op == ADDRESS:
-			if err := in.push(new(big.Int).SetBytes(ctx.Self[:])); err != nil {
-				return Result{}, err
-			}
-			pc++
-
-		case op == CALLER:
-			if err := in.push(new(big.Int).SetBytes(ctx.Caller[:])); err != nil {
-				return Result{}, err
-			}
-			pc++
-
-		case op == CALLVALUE:
-			if err := in.push(ctx.Value.Big()); err != nil {
-				return Result{}, err
-			}
-			pc++
-
-		case op == BALANCE:
-			v, err := in.pop()
+			v, err := in.push()
 			if err != nil {
 				return Result{}, err
 			}
-			addr := ethtypes.BytesToAddress(v.Bytes())
-			if err := in.push(ctx.Host.Balance(addr).Big()); err != nil {
+			v.SetBytes(ctx.Self[:])
+			pc++
+
+		case op == CALLER:
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetBytes(ctx.Caller[:])
+			pc++
+
+		case op == CALLVALUE:
+			v, err := in.push()
+			if err != nil {
+				return Result{}, err
+			}
+			setWei(v, ctx.Value)
+			pc++
+
+		case op == BALANCE:
+			v, err := in.peek()
+			if err != nil {
+				return Result{}, err
+			}
+			setWei(v, ctx.Host.Balance(wordAddress(v)))
 			pc++
 
 		case op == SELFBALANCE:
-			if err := in.push(ctx.Host.Balance(ctx.Self).Big()); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			setWei(v, ctx.Host.Balance(ctx.Self))
 			pc++
 
 		case op == CALLDATALOAD:
-			v, err := in.pop()
+			v, err := in.peek()
 			if err != nil {
 				return Result{}, err
 			}
@@ -355,15 +410,15 @@ func (in *interp) run() (Result, error) {
 					}
 				}
 			}
-			if err := in.push(new(big.Int).SetBytes(word[:])); err != nil {
-				return Result{}, err
-			}
+			v.SetBytes(word[:])
 			pc++
 
 		case op == CALLDATASIZE:
-			if err := in.push(big.NewInt(int64(len(ctx.Input)))); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetUint64(uint64(len(ctx.Input)))
 			pc++
 
 		case op == CALLDATACOPY:
@@ -390,9 +445,11 @@ func (in *interp) run() (Result, error) {
 			pc++
 
 		case op == CODESIZE:
-			if err := in.push(big.NewInt(int64(len(code)))); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetUint64(uint64(len(code)))
 			pc++
 
 		case op == CODECOPY:
@@ -419,21 +476,27 @@ func (in *interp) run() (Result, error) {
 			pc++
 
 		case op == TIMESTAMP:
-			if err := in.push(big.NewInt(ctx.Time)); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetInt64(ctx.Time)
 			pc++
 
 		case op == NUMBER:
-			if err := in.push(new(big.Int).SetUint64(ctx.BlockNumber)); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetUint64(ctx.BlockNumber)
 			pc++
 
 		case op == RETURNDATASIZE:
-			if err := in.push(big.NewInt(int64(len(in.retData)))); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetUint64(uint64(len(in.retData)))
 			pc++
 
 		case op == RETURNDATACOPY:
@@ -465,7 +528,7 @@ func (in *interp) run() (Result, error) {
 			pc++
 
 		case op == MLOAD:
-			v, err := in.pop()
+			v, err := in.peek()
 			if err != nil {
 				return Result{}, err
 			}
@@ -476,9 +539,7 @@ func (in *interp) run() (Result, error) {
 			if err := in.expandMem(off, 32); err != nil {
 				return Result{}, err
 			}
-			if err := in.push(new(big.Int).SetBytes(in.mem[off : off+32])); err != nil {
-				return Result{}, err
-			}
+			v.SetBytes(in.mem[off : off+32])
 			pc++
 
 		case op == MSTORE:
@@ -497,16 +558,14 @@ func (in *interp) run() (Result, error) {
 			pc++
 
 		case op == SLOAD:
-			v, err := in.pop()
+			v, err := in.peek()
 			if err != nil {
 				return Result{}, err
 			}
 			var key ethtypes.Hash
 			v.FillBytes(key[:])
 			val := ctx.Host.StorageGet(ctx.Self, key)
-			if err := in.push(new(big.Int).SetBytes(val[:])); err != nil {
-				return Result{}, err
-			}
+			v.SetBytes(val[:])
 			pc++
 
 		case op == SSTORE:
@@ -526,7 +585,7 @@ func (in *interp) run() (Result, error) {
 				return Result{}, err
 			}
 			dest, ok := u64(v)
-			if !ok || !in.jumpdests[int(dest)] {
+			if !ok || !in.isJumpdest(dest) {
 				return Result{}, fmt.Errorf("%w: pc %v", ErrBadJump, v)
 			}
 			pc = int(dest)
@@ -538,7 +597,7 @@ func (in *interp) run() (Result, error) {
 			}
 			if args[1].Sign() != 0 {
 				dest, ok := u64(args[0])
-				if !ok || !in.jumpdests[int(dest)] {
+				if !ok || !in.isJumpdest(dest) {
 					return Result{}, fmt.Errorf("%w: pc %v", ErrBadJump, args[0])
 				}
 				pc = int(dest)
@@ -547,24 +606,30 @@ func (in *interp) run() (Result, error) {
 			}
 
 		case op == PC:
-			if err := in.push(big.NewInt(int64(pc))); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetUint64(uint64(pc))
 			pc++
 
 		case op == GAS:
-			if err := in.push(new(big.Int).SetUint64(in.gas)); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetUint64(in.gas)
 			pc++
 
 		case op == JUMPDEST:
 			pc++
 
 		case op == PUSH0:
-			if err := in.push(new(big.Int)); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetUint64(0)
 			pc++
 
 		case op >= PUSH1 && op <= PUSH1+31:
@@ -573,29 +638,32 @@ func (in *interp) run() (Result, error) {
 			if end > len(code) {
 				end = len(code)
 			}
-			v := new(big.Int).SetBytes(code[pc+1 : end])
-			if err := in.push(v); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.SetBytes(code[pc+1 : end])
 			pc += n + 1
 
 		case op >= DUP1 && op <= DUP1+15:
 			n := int(op-DUP1) + 1
-			if len(in.stack) < n {
+			if in.sp < n {
 				return Result{}, ErrStackUnderflow
 			}
-			v := new(big.Int).Set(in.stack[len(in.stack)-n])
-			if err := in.push(v); err != nil {
+			v, err := in.push()
+			if err != nil {
 				return Result{}, err
 			}
+			v.Set(&in.stack[in.sp-1-n])
 			pc++
 
 		case op >= SWAP1 && op <= SWAP1+15:
 			n := int(op-SWAP1) + 1
-			if len(in.stack) < n+1 {
+			if in.sp < n+1 {
 				return Result{}, ErrStackUnderflow
 			}
-			top := len(in.stack) - 1
+			// Swapping the words by value moves each one's digits with it.
+			top := in.sp - 1
 			in.stack[top], in.stack[top-n] = in.stack[top-n], in.stack[top]
 			pc++
 
@@ -628,7 +696,7 @@ func (in *interp) run() (Result, error) {
 				return Result{}, err
 			}
 			// args: gas, to, value, inOff, inSize, outOff, outSize
-			to := ethtypes.BytesToAddress(args[1].Bytes())
+			to := wordAddress(args[1])
 			value := ethtypes.WeiFromBig(args[2])
 			inOff, ok1 := u64(args[3])
 			inSize, ok2 := u64(args[4])
@@ -643,22 +711,7 @@ func (in *interp) run() (Result, error) {
 			input := make([]byte, inSize)
 			copy(input, in.mem[inOff:inOff+inSize])
 			ret, callErr := ctx.Host.Call(ctx.Self, to, value, input, ctx.Depth+1)
-			if callErr == nil {
-				in.retData = ret
-			} else {
-				in.retData = nil
-			}
-			if callErr == nil && outSize > 0 {
-				if err := in.expandMem(outOff, outSize); err != nil {
-					return Result{}, err
-				}
-				n := uint64(len(ret))
-				if n > outSize {
-					n = outSize
-				}
-				copy(in.mem[outOff:outOff+n], ret[:n])
-			}
-			if err := in.push(boolWord(callErr == nil)); err != nil {
+			if err := in.finishCall(ret, callErr, outOff, outSize); err != nil {
 				return Result{}, err
 			}
 			pc++
@@ -671,7 +724,7 @@ func (in *interp) run() (Result, error) {
 			// args: gas, to, inOff, inSize, outOff, outSize. The callee's
 			// code runs in this frame's context: same Self, Caller, and
 			// Value, so its SLOADs and SSTOREs hit our storage.
-			to := ethtypes.BytesToAddress(args[1].Bytes())
+			to := wordAddress(args[1])
 			inOff, ok1 := u64(args[2])
 			inSize, ok2 := u64(args[3])
 			outOff, ok3 := u64(args[4])
@@ -708,22 +761,7 @@ func (in *interp) run() (Result, error) {
 			}
 			// A code-less target (EOA, or a Host without CodeHost)
 			// succeeds with empty return data, like mainnet.
-			if callErr == nil {
-				in.retData = ret
-			} else {
-				in.retData = nil
-			}
-			if callErr == nil && outSize > 0 {
-				if err := in.expandMem(outOff, outSize); err != nil {
-					return Result{}, err
-				}
-				n := uint64(len(ret))
-				if n > outSize {
-					n = outSize
-				}
-				copy(in.mem[outOff:outOff+n], ret[:n])
-			}
-			if err := in.push(boolWord(callErr == nil)); err != nil {
+			if err := in.finishCall(ret, callErr, outOff, outSize); err != nil {
 				return Result{}, err
 			}
 			pc++
@@ -737,7 +775,7 @@ func (in *interp) run() (Result, error) {
 			// the host as a zero-value call; this interpreter does not
 			// enforce the read-only restriction (no contract in the
 			// simulated world writes state behind a STATICCALL).
-			to := ethtypes.BytesToAddress(args[1].Bytes())
+			to := wordAddress(args[1])
 			inOff, ok1 := u64(args[2])
 			inSize, ok2 := u64(args[3])
 			outOff, ok3 := u64(args[4])
@@ -751,22 +789,7 @@ func (in *interp) run() (Result, error) {
 			input := make([]byte, inSize)
 			copy(input, in.mem[inOff:inOff+inSize])
 			ret, callErr := ctx.Host.Call(ctx.Self, to, ethtypes.Wei{}, input, ctx.Depth+1)
-			if callErr == nil {
-				in.retData = ret
-			} else {
-				in.retData = nil
-			}
-			if callErr == nil && outSize > 0 {
-				if err := in.expandMem(outOff, outSize); err != nil {
-					return Result{}, err
-				}
-				n := uint64(len(ret))
-				if n > outSize {
-					n = outSize
-				}
-				copy(in.mem[outOff:outOff+n], ret[:n])
-			}
-			if err := in.push(boolWord(callErr == nil)); err != nil {
+			if err := in.finishCall(ret, callErr, outOff, outSize); err != nil {
 				return Result{}, err
 			}
 			pc++
@@ -784,6 +807,7 @@ func (in *interp) run() (Result, error) {
 			if err := in.expandMem(off, size); err != nil {
 				return Result{}, err
 			}
+			// Memory is reused by the next frame, so the result is a copy.
 			ret := make([]byte, size)
 			copy(ret, in.mem[off:off+size])
 			res := Result{ReturnData: ret, GasUsed: ctx.Gas - in.gas}
@@ -801,53 +825,85 @@ func (in *interp) run() (Result, error) {
 	return Result{GasUsed: ctx.Gas - in.gas}, nil
 }
 
-func binop(op byte, a, b *big.Int) (*big.Int, error) {
-	out := new(big.Int)
+// finishCall completes a CALL-family opcode: it keeps the callee's
+// return data, copies up to outSize bytes of it to memory at outOff on
+// success, and pushes the success flag.
+func (in *interp) finishCall(ret []byte, callErr error, outOff, outSize uint64) error {
+	if callErr == nil {
+		in.retData = ret
+	} else {
+		in.retData = nil
+	}
+	if callErr == nil && outSize > 0 {
+		if err := in.expandMem(outOff, outSize); err != nil {
+			return err
+		}
+		n := uint64(len(ret))
+		if n > outSize {
+			n = outSize
+		}
+		copy(in.mem[outOff:outOff+n], ret[:n])
+	}
+	v, err := in.push()
+	if err != nil {
+		return err
+	}
+	setBool(v, callErr == nil)
+	return nil
+}
+
+// binop applies a two-operand opcode: a is the popped top word and b
+// the word beneath it, which receives the result in place.
+func binop(op byte, a, b *big.Int) error {
 	switch op {
 	case ADD:
-		return mod256(out.Add(a, b)), nil
+		mod256(b.Add(a, b))
 	case MUL:
-		return mod256(out.Mul(a, b)), nil
+		mod256(b.Mul(a, b))
 	case SUB:
-		return mod256(out.Sub(a, b)), nil
+		mod256(b.Sub(a, b))
 	case DIV:
 		if b.Sign() == 0 {
-			return out, nil
+			return nil
 		}
-		return out.Div(a, b), nil
+		b.Div(a, b)
 	case MOD:
 		if b.Sign() == 0 {
-			return out, nil
+			return nil
 		}
-		return out.Mod(a, b), nil
+		b.Mod(a, b)
 	case AND:
-		return out.And(a, b), nil
+		b.And(a, b)
 	case OR:
-		return out.Or(a, b), nil
+		b.Or(a, b)
 	case XOR:
-		return out.Xor(a, b), nil
+		b.Xor(a, b)
 	case LT:
-		return boolWord(a.Cmp(b) < 0), nil
+		setBool(b, a.Cmp(b) < 0)
 	case GT:
-		return boolWord(a.Cmp(b) > 0), nil
+		setBool(b, a.Cmp(b) > 0)
 	case EQ:
-		return boolWord(a.Cmp(b) == 0), nil
+		setBool(b, a.Cmp(b) == 0)
 	case SHL:
 		n, ok := u64(a)
 		if !ok || n > 255 {
-			return out, nil
+			b.SetUint64(0)
+			return nil
 		}
-		return mod256(out.Lsh(b, uint(n))), nil
+		mod256(b.Lsh(b, uint(n)))
 	case SHR:
 		n, ok := u64(a)
 		if !ok || n > 255 {
-			return out, nil
+			b.SetUint64(0)
+			return nil
 		}
-		return out.Rsh(b, uint(n)), nil
+		b.Rsh(b, uint(n))
 	case EXP:
-		return out.Exp(a, b, two256), nil
+		b.Exp(a, b, two256)
+	default:
+		return fmt.Errorf("%w: 0x%02x", ErrInvalidOpcode, op)
 	}
-	return nil, fmt.Errorf("%w: 0x%02x", ErrInvalidOpcode, op)
+	return nil
 }
 
 // opCost assigns flat costs: expensive state ops cost more so gas limits

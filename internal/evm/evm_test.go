@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -514,5 +515,145 @@ func TestReturnData(t *testing.T) {
 	b.PushInt(10).PushInt(0).PushInt(0).Op(RETURNDATACOPY).Stop()
 	if _, err := run(t, b.mustAssemble(), nil, ethtypes.Wei{}, host); err == nil {
 		t.Error("out-of-bounds RETURNDATACOPY succeeded")
+	}
+}
+
+// Property: random straight-line programs of pushes, DUPn, SWAPn and
+// arithmetic leave the same stack as a math/big model that gives every
+// word its own storage. The interpreter computes in place in reused
+// stack slots, so a slot that shared its digits with another (a DUP
+// that copied the word's header instead of its value, say) would let
+// one word's arithmetic change the other, and this would fail.
+func TestQuickStackOpsMatchBigInt(t *testing.T) {
+	mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	wrap := func(v *big.Int) *big.Int { return v.And(v, mask) } // two's complement mod 2^256
+	bool2 := func(b bool) *big.Int {
+		if b {
+			return big.NewInt(1)
+		}
+		return new(big.Int)
+	}
+	binops := []byte{ADD, MUL, SUB, DIV, MOD, EXP, AND, OR, XOR, LT, GT, EQ, SHL, SHR}
+	model := func(op byte, a, b *big.Int) *big.Int {
+		out := new(big.Int)
+		switch op {
+		case ADD:
+			return wrap(out.Add(a, b))
+		case MUL:
+			return wrap(out.Mul(a, b))
+		case SUB:
+			return wrap(out.Sub(a, b))
+		case DIV:
+			if b.Sign() == 0 {
+				return out
+			}
+			return out.Quo(a, b)
+		case MOD:
+			if b.Sign() == 0 {
+				return out
+			}
+			return out.Rem(a, b)
+		case EXP:
+			return out.Exp(a, b, new(big.Int).Lsh(big.NewInt(1), 256))
+		case AND:
+			return out.And(a, b)
+		case OR:
+			return out.Or(a, b)
+		case XOR:
+			return out.Xor(a, b)
+		case LT:
+			return bool2(a.Cmp(b) < 0)
+		case GT:
+			return bool2(a.Cmp(b) > 0)
+		case EQ:
+			return bool2(a.Cmp(b) == 0)
+		case SHL:
+			if !a.IsUint64() || a.Uint64() > 255 {
+				return out
+			}
+			return wrap(out.Lsh(b, uint(a.Uint64())))
+		case SHR:
+			if !a.IsUint64() || a.Uint64() > 255 {
+				return out
+			}
+			return out.Rsh(b, uint(a.Uint64()))
+		}
+		panic("unknown op")
+	}
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 0x5eed))
+		asm := NewAssembler()
+		var stack []*big.Int // model; the top is the last element
+		randWord := func() *big.Int {
+			switch rng.IntN(4) {
+			case 0: // small, so shifts, exponents and comparisons bite
+				return big.NewInt(rng.Int64N(300))
+			case 1:
+				return new(big.Int).Set(mask)
+			default:
+				b := make([]byte, 1+rng.IntN(32))
+				for i := range b {
+					b[i] = byte(rng.Uint32())
+				}
+				return new(big.Int).SetBytes(b)
+			}
+		}
+		for step := 0; step < 80; step++ {
+			depth := len(stack)
+			switch k := rng.IntN(10); {
+			case depth < 2 || k < 2:
+				if depth >= 64 {
+					continue
+				}
+				v := randWord()
+				asm.Push(v)
+				stack = append(stack, v)
+			case k < 4:
+				n := 1 + rng.IntN(min(depth, 16))
+				if depth >= 64 {
+					continue
+				}
+				asm.Op(DUP1 + byte(n-1))
+				stack = append(stack, new(big.Int).Set(stack[depth-n]))
+			case k < 6:
+				n := 1 + rng.IntN(min(depth-1, 16))
+				asm.Op(SWAP1 + byte(n-1))
+				stack[depth-1], stack[depth-1-n] = stack[depth-1-n], stack[depth-1]
+			case k < 7:
+				if rng.IntN(2) == 0 {
+					asm.Op(ISZERO)
+					stack[depth-1] = bool2(stack[depth-1].Sign() == 0)
+				} else {
+					asm.Op(NOT)
+					stack[depth-1] = new(big.Int).Xor(stack[depth-1], mask)
+				}
+			default:
+				op := binops[rng.IntN(len(binops))]
+				asm.Op(op)
+				a, b := stack[depth-1], stack[depth-2]
+				stack = append(stack[:depth-2], model(op, a, b))
+			}
+		}
+		// Store every word, top first, and return them all.
+		for i := range stack {
+			asm.PushInt(int64(32 * i)).Op(MSTORE)
+		}
+		asm.PushInt(int64(32*len(stack))).Op(PUSH0, RETURN)
+		res, err := run(t, asm.mustAssemble(), nil, ethtypes.Wei{}, nil)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for i := range stack {
+			want := stack[len(stack)-1-i]
+			if got := new(big.Int).SetBytes(res.ReturnData[32*i : 32*i+32]); got.Cmp(want) != 0 {
+				t.Logf("seed %d: word %d from the top = %x, want %x", seed, i, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
 	}
 }

@@ -28,11 +28,18 @@ var (
 
 // AppendString appends the RLP encoding of the byte string s to dst.
 func AppendString(dst, s []byte) []byte {
+	return append(AppendStringHeader(dst, s), s...)
+}
+
+// AppendStringHeader appends the length prefix AppendString(dst, s)
+// writes before s's bytes, so a caller can hash the prefix and s as
+// separate parts without copying s. It appends nothing when s is a
+// single byte below 0x80, which encodes as itself.
+func AppendStringHeader(dst, s []byte) []byte {
 	if len(s) == 1 && s[0] < 0x80 {
-		return append(dst, s[0])
+		return dst
 	}
-	dst = appendLength(dst, len(s), 0x80)
-	return append(dst, s...)
+	return appendLength(dst, len(s), 0x80)
 }
 
 // AppendUint appends the canonical RLP encoding of v (big-endian,
@@ -50,15 +57,6 @@ func AppendUint(dst []byte, v uint64) []byte {
 		buf[n-1-i] = byte(v >> (8 * i))
 	}
 	return AppendString(dst, buf[:n])
-}
-
-// AppendBig appends the canonical RLP encoding of a non-negative big
-// integer. Nil encodes as zero.
-func AppendBig(dst []byte, v *big.Int) []byte {
-	if v == nil || v.Sign() == 0 {
-		return append(dst, 0x80)
-	}
-	return AppendString(dst, v.Bytes())
 }
 
 // AppendList appends a list header for a payload of n bytes; the caller

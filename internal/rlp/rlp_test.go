@@ -51,14 +51,16 @@ func TestEncodeKnownAnswers(t *testing.T) {
 	}
 }
 
+// TestEncodeBig pins the integer encoding: a big integer is the string
+// of its minimal big-endian bytes, and zero is the empty string.
 func TestEncodeBig(t *testing.T) {
 	v, _ := new(big.Int).SetString("102030405060708090a0b0c0d0e0f2", 16)
 	want := "8f102030405060708090a0b0c0d0e0f2"
-	if got := AppendBig(nil, v); hex.EncodeToString(got) != want {
+	if got := AppendString(nil, v.Bytes()); hex.EncodeToString(got) != want {
 		t.Errorf("got %x, want %s", got, want)
 	}
-	if got := AppendBig(nil, nil); hex.EncodeToString(got) != "80" {
-		t.Errorf("nil big.Int encoded %x, want 80", got)
+	if got := AppendString(nil, new(big.Int).Bytes()); hex.EncodeToString(got) != "80" {
+		t.Errorf("zero encoded %x, want 80", got)
 	}
 }
 
@@ -133,7 +135,7 @@ func TestUintAccessors(t *testing.T) {
 
 func TestBigAccessor(t *testing.T) {
 	want, _ := new(big.Int).SetString("ffffffffffffffffffffffff", 16)
-	enc := AppendBig(nil, want)
+	enc := AppendString(nil, want.Bytes())
 	item, _ := Decode(enc)
 	got, err := Big(item)
 	if err != nil || got.Cmp(want) != 0 {
@@ -226,7 +228,7 @@ func BenchmarkEncodeTxShape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		payload = AppendUint(payload[:0], 7)
 		payload = AppendString(payload, from)
-		payload = AppendBig(payload, value)
+		payload = AppendString(payload, value.Bytes())
 		payload = AppendString(payload, data)
 		payload = AppendUint(payload, 21000)
 		encSink = append(AppendList(encSink[:0], len(payload)), payload...)

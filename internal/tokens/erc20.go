@@ -76,13 +76,15 @@ func allowanceKey(owner, spender ethtypes.Address) ethtypes.Hash {
 }
 
 func weiToWord(v ethtypes.Wei) ethtypes.Hash {
+	var buf [32]byte
+	b := v.AppendBytes(buf[:0])
 	var h ethtypes.Hash
-	v.Big().FillBytes(h[:])
+	copy(h[len(h)-len(b):], b)
 	return h
 }
 
 func wordToWei(h ethtypes.Hash) ethtypes.Wei {
-	return ethtypes.WeiFromBig(new(big.Int).SetBytes(h[:]))
+	return ethtypes.WeiFromBytes(h[:])
 }
 
 func boolReturn(ok bool) []byte {
@@ -215,8 +217,7 @@ func (t *ERC20) move(env *chain.CallEnv, from, to ethtypes.Address, amount ethty
 	env.StorageSet(fk, weiToWord(bal.Sub(amount)))
 	tk := balanceKey(to)
 	env.StorageSet(tk, weiToWord(wordToWei(env.StorageGet(tk)).Add(amount)))
-	var data [32]byte
-	amount.Big().FillBytes(data[:])
+	data := weiToWord(amount)
 	env.EmitLog([]ethtypes.Hash{TopicTransfer, addrTopic(from), addrTopic(to)}, data[:])
 	env.RecordTokenTransfer(chain.Asset{Kind: chain.AssetERC20, Token: t.Addr}, from, to, amount)
 	return nil
